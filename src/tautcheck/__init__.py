@@ -23,9 +23,8 @@ from .plumbing import (GeneratorColumn, IntersectionPoint, PlumbingError,
                        enumerate_generators, enumerate_points,
                        estimate_assembly, expand_at_point, export_matrix,
                        import_matrix, row_space)
-from .linalg import (LinalgError, bad_primes, certified_rank,
-                     elementary_divisors, is_probable_prime, next_prime,
-                     rank_mod_p, rank_over_Q)
+from .linalg import (LinalgError, bad_primes, is_probable_prime,
+                     next_prime, prove_rank_over_Q, rank_mod_p, rank_over_Q)
 
 __all__ = [
     "DualGraph", "GraphError", "VertexData", "intersection_matrix",
@@ -41,6 +40,6 @@ __all__ = [
     "RowIndex", "assemble_matrix", "build_model", "enumerate_generators",
     "enumerate_points", "estimate_assembly", "expand_at_point",
     "export_matrix", "import_matrix", "row_space",
-    "LinalgError", "bad_primes", "certified_rank", "elementary_divisors",
-    "is_probable_prime", "next_prime", "rank_mod_p", "rank_over_Q",
+    "LinalgError", "bad_primes", "is_probable_prime", "next_prime",
+    "prove_rank_over_Q", "rank_mod_p", "rank_over_Q",
 ]

@@ -3,7 +3,8 @@
 The pipeline: combinatorial checks, cycle computation (a preset's known
 cycle is honored untouched; computed cycles are coprimality-adjusted
 against the candidate primes), twist plan, plumbing model, matrix
-assembly, exact ranks per characteristic, verdicts.
+assembly, exact ranks per characteristic with the rational rank proved
+from them where possible, verdicts.
 
 Reports are deterministic byte for byte: fixed RNG seed for the rank
 primes, no timestamps, canonical key order.
@@ -13,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, linalg
 from .cycles import (CyclesError, anti_ample_cycle, choose_j,
@@ -24,7 +23,7 @@ from .cycles import (CyclesError, anti_ample_cycle, choose_j,
 from .graph import (DualGraph, GraphError, is_connected,
                     is_negative_definite, parse_graph, preset_graph,
                     potential_tautness_violations)
-from .linalg import LinalgError, certified_rank, rank_mod_p
+from .linalg import LinalgError, prove_rank_over_Q
 from .plumbing import (PlumbingError, assemble_matrix, build_model,
                        estimate_assembly)
 from .sparse import SparseMatrixError, write_matrix_text
@@ -34,23 +33,12 @@ DEFAULT_PRIMES = (2, 3, 5, 7)
 # assemblies above this estimated peak announce themselves on stderr first
 _FOOTPRINT_NOTE_BYTES = 100_000_000
 
-# rank jobs on matrices above this size run one at a time so elimination
-# working sets do not stack up in memory
-_PARALLEL_NNZ_CAP = 4_000_000
 
-
-def _rank_jobs(matrix, primes: list[int]) -> dict[int, int]:
-    """Rank of the matrix modulo each given prime.
-
-    The jobs are independent and the matrix is immutable, so small and
-    medium matrices are processed on a thread pool.
-    """
-    workers = min(len(primes), os.cpu_count() or 1)
-    if workers <= 1 or matrix.nnz > _PARALLEL_NNZ_CAP:
-        return {p: rank_mod_p(matrix, p) for p in primes}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {p: pool.submit(rank_mod_p, matrix, p) for p in primes}
-        return {p: fut.result() for p, fut in futures.items()}
+def _check(ok: bool, what: str) -> None:
+    """An invariant behind a reported value; unlike `assert`, it also
+    holds under `python -O`."""
+    if not ok:
+        raise LinalgError(f"internal check failed: {what}")
 
 
 def _graph_summary(g: DualGraph, preset: str | None) -> dict:
@@ -85,7 +73,7 @@ def _characteristic_result(r_rows: int, rank: int) -> dict:
 
 def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
             primes=DEFAULT_PRIMES, mode: str = "paper", j: int | None = None,
-            certify: bool = False, mem_cap: int | None = None,
+            mem_cap: int | None = None,
             export_path: str | None = None, trials: int = 3,
             seed: int = linalg._DEFAULT_SEED, return_objects: bool = False):
     """Run the full tautness analysis; returns the report dict.
@@ -126,7 +114,7 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     fundamental = fundamental_cycle(g)
     if preset_cycle is not None:
         used = tuple(preset_cycle)
-        assert is_anti_ample(g, used)
+        _check(is_anti_ample(g, used), "preset cycle is not anti-ample")
         source = "preset"
         adjusted = False
     else:
@@ -168,32 +156,26 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     # stage: assembly
     matrix = assemble_matrix(model)
     pt = len(model.points)
-    assert matrix.nrows == model.row_count
-    assert matrix.nrows == 2 * pt * (j_used * j_used - j_used)
+    _check(matrix.nrows == model.row_count,
+           "assembled rows differ from the model's row count")
+    _check(matrix.nrows == 2 * pt * (j_used * j_used - j_used),
+           "row count is not 2 * points * (j^2 - j)")
     if export_path is not None:
         write_matrix_text(matrix, export_path)
 
     # stage: ranks
-    mc_primes = linalg.sample_rank_primes(trials, seed)
-    rank_at = _rank_jobs(matrix, sorted({*primes, *mc_primes}))
-    ranks = {p: rank_at[p] for p in primes}
-    mc_rank = max(rank_at[q] for q in mc_primes)
-    rank_q = max([mc_rank, *ranks.values()])
-    certified = False
-    if certify:
-        exact = certified_rank(matrix)
-        assert exact >= rank_q
-        rank_q = exact
-        certified = True
-    assert rank_q <= min(matrix.nrows, matrix.ncols)
+    proof = prove_rank_over_Q(matrix, primes, trials, seed)
+    ranks, rank_q = proof.ranks, proof.rank_q
+    _check(rank_q <= min(matrix.nrows, matrix.ncols),
+           f"rank over Q {rank_q} exceeds min(rows, columns)")
     for p in primes:
-        assert ranks[p] <= rank_q
+        _check(ranks[p] <= rank_q,
+               f"rank mod {p} {ranks[p]} exceeds rank over Q {rank_q}")
 
     r_rows = matrix.nrows
     results = {"q": _characteristic_result(r_rows, rank_q)}
     for p in primes:
         results[f"p{p}"] = _characteristic_result(r_rows, ranks[p])
-        assert results["q"]["h1"] <= results[f"p{p}"]["h1"]
 
     report = dict(base)
     report["status"] = "ok"
@@ -223,9 +205,10 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         "estimated_assembly_bytes": est["assembly_peak_bytes"],
     }
     report["results"] = results
-    report["sampled_rank_primes"] = mc_primes
+    report["sampled_rank_primes"] = proof.sampled_primes
     report["bad_primes"] = [p for p in primes if ranks[p] < rank_q]
-    report["certified"] = certified
+    report["certified"] = proof.certificate_prime is not None
+    report["certificate_prime"] = proof.certificate_prime
     report["notes"] = notes
     return (report, model, matrix) if return_objects else report
 
@@ -270,7 +253,11 @@ def render_text(report: dict) -> str:
     bad = report["bad_primes"]
     lines.append("bad primes: " + (", ".join(map(str, bad)) if bad else "none"))
     if report["certified"]:
-        lines.append("rational rank certified by exact integer elimination")
+        lines.append(f"rational rank proved: full rank mod "
+                     f"{report['certificate_prime']}")
+    else:
+        lines.append("rational rank is a lower bound: no ranked prime "
+                     "reached full rank")
     for note in report["notes"]:
         lines.append(f"note: {note}")
     return "\n".join(lines) + "\n"
@@ -315,9 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override the automatic twist prime j")
     an.add_argument("--export-matrix", metavar="PATH", default=None,
                     help="write the assembled matrix in the text format")
-    an.add_argument("--certify", action="store_true",
-                    help="certify the rational rank by exact integer "
-                         "elimination (small matrices only)")
     an.add_argument("--mem-cap", type=int, default=None, metavar="BYTES",
                     help="refuse assembly above this estimated footprint")
     an.add_argument("--format", choices=("text", "structured"),
@@ -336,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
                     graph = parse_graph(f.read())
             report = analyze(graph=graph, preset=args.preset,
                              primes=args.primes, mode=args.mode, j=args.j,
-                             certify=args.certify, mem_cap=args.mem_cap,
+                             mem_cap=args.mem_cap,
                              export_path=args.export_matrix)
             text = render_structured(report) if args.format == "structured" \
                 else render_text(report)

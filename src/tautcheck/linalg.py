@@ -8,18 +8,21 @@ Strategy: reduce mod p, then
    small or dense enough, by deterministic sparse Markowitz elimination
    otherwise (with a periodic switch back to dense as it fills in).
 
-The rational rank is certified from below by modular ranks: the rank mod
-any prime never exceeds the rank over the rationals, and equals it for
-all but finitely many primes.  `rank_over_Q` takes the max over a few
-random 31-bit primes; `certified_rank` runs fraction-free elimination
-over the integers for small matrices.
+The rational rank is bounded by modular ranks: the rank mod any prime
+never exceeds the rank over the rationals, which never exceeds
+min(rows, cols).  `prove_rank_over_Q` ranks the candidate primes, then
+seeded 31-bit primes, until one reaches min(rows, cols) and so proves
+the rational rank; if none does, its result is reported as a lower
+bound.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
+import os
 import random
+from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -287,6 +290,61 @@ def rank_mod_p(matrix, p: int, *,
 # ---------------------------------------------------------------------------
 # rank over Q
 
+# rank jobs on matrices above this size run one at a time so elimination
+# working sets do not stack up in memory
+_PARALLEL_NNZ_CAP = 4_000_000
+
+
+def _rank_jobs(matrix, primes: list[int]) -> dict[int, int]:
+    """Rank of the matrix modulo each given prime.
+
+    The jobs are independent and the matrix is immutable, so small and
+    medium matrices are processed on a thread pool.
+    """
+    workers = min(len(primes), os.cpu_count() or 1)
+    if workers <= 1 or matrix.nnz > _PARALLEL_NNZ_CAP:
+        return {p: rank_mod_p(matrix, p) for p in primes}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {p: pool.submit(rank_mod_p, matrix, p) for p in primes}
+        return {p: fut.result() for p, fut in futures.items()}
+
+
+class RationalRank(NamedTuple):
+    """Outcome of `prove_rank_over_Q`.  `rank_q` is the largest modular
+    rank seen: the rank over Q when `certificate_prime` is set, otherwise
+    a lower bound for it."""
+
+    ranks: dict[int, int]             # prime -> rank, for every prime ranked
+    rank_q: int
+    certificate_prime: int | None     # a prime whose rank is min(rows, cols)
+    sampled_primes: list[int]         # the seeded 31-bit fallback primes
+
+
+def prove_rank_over_Q(matrix, candidates, trials: int = 3,
+                      seed: int = _DEFAULT_SEED) -> RationalRank:
+    """Rank over Q from modular ranks, proved whenever one prime allows.
+
+    rank mod p <= rank over Q <= min(rows, cols), so a prime whose rank
+    reaches min(rows, cols) proves the rational rank.  The candidates
+    are ranked first, together; the smallest one reaching full rank is
+    the certificate.  Otherwise the `trials` seeded 31-bit primes are
+    ranked one at a time, stopping at the first that reaches full rank.
+    If none does, `rank_q` is an unproved lower bound: it is exact unless
+    every ranked prime divides the same invariant factor.
+    """
+    full = min(matrix.nrows, matrix.ncols)
+    ranks = _rank_jobs(matrix, sorted(set(candidates)))
+    sampled = sample_rank_primes(trials, seed)
+    proof = min((p for p, r in ranks.items() if r == full), default=None)
+    for q in sampled:
+        if proof is not None:
+            break
+        if q not in ranks:
+            ranks[q] = rank_mod_p(matrix, q)
+        if ranks[q] == full:
+            proof = q
+    return RationalRank(ranks, max(ranks.values(), default=0), proof, sampled)
+
 
 def modular_rank_survey(matrix, trials: int = 3,
                         seed: int = _DEFAULT_SEED) -> tuple[int, list[int]]:
@@ -296,169 +354,24 @@ def modular_rank_survey(matrix, trials: int = 3,
 
 
 def rank_over_Q(matrix, trials: int = 3, seed: int = _DEFAULT_SEED) -> int:
-    """Monte-Carlo rational rank: max modular rank over `trials` random
-    31-bit primes.  Always a lower bound on the true rational rank; equal
-    to it unless every sampled prime divides the same invariant factor."""
-    return modular_rank_survey(matrix, trials, seed)[0]
+    """Rational rank from the seeded 31-bit primes (`prove_rank_over_Q`
+    without candidates): exact once one of them reaches full rank, a
+    lower bound otherwise."""
+    return prove_rank_over_Q(matrix, (), trials, seed).rank_q
 
 
 def bad_primes(matrix, candidates: list[int], rank_q: int | None = None,
                trials: int = 3, seed: int = _DEFAULT_SEED) -> list[int]:
     """Candidate primes where the matrix drops rank compared to Q.
 
-    When `rank_q` is not supplied it is computed as the max of a random
-    modular survey and the candidate ranks themselves (every modular rank
-    is a lower bound for the rational rank).  Only the candidates are
-    tested; this is not a complete bad-prime enumeration.
+    When `rank_q` is not supplied it comes from `prove_rank_over_Q` on
+    the candidates.  Only the candidates are tested; this is not a
+    complete bad-prime enumeration.
     """
-    ranks = {p: rank_mod_p(matrix, p) for p in sorted(set(candidates))}
+    candidates = sorted(set(candidates))
     if rank_q is None:
-        rank_q = rank_over_Q(matrix, trials, seed)
-        if ranks:
-            rank_q = max(rank_q, *ranks.values())
-    return [p for p in sorted(ranks) if ranks[p] < rank_q]
-
-
-# ---------------------------------------------------------------------------
-# exact integer forms (small matrices)
-
-
-def _nearest_quotient(v: int, piv: int) -> int:
-    """Integer quotient rounding to the nearest multiple (exact for big
-    ints, unlike round(v / piv))."""
-    q, rem = divmod(v, piv)
-    if 2 * abs(rem) > abs(piv):
-        q += 1
-    return q
-
-
-def _dense_int_matrix(matrix, dim_cap: int) -> list[list[int]]:
-    m, n = matrix.nrows, matrix.ncols
-    if max(m, n) > dim_cap:
-        raise LinalgError(f"matrix is {m} x {n}; exact integer elimination "
-                          f"is capped at {dim_cap}")
-    a = [[0] * n for _ in range(m)]
-    for r, c, v in matrix.entries():
-        a[r][c] = v
-    return a
-
-
-def certified_rank(matrix, dim_cap: int = 2000) -> int:
-    """Exact rational rank by fraction-free (Bareiss) elimination with
-    full pivoting over the integers.  Slow but certified; capped in
-    dimension because entries grow like minors."""
-    a = _dense_int_matrix(matrix, dim_cap)
-    m = len(a)
-    n = len(a[0]) if a else 0
-    prev = 1
-    r = 0
-    while True:
-        # smallest-magnitude nonzero entry in the active block as pivot
-        pivot = None
-        for i in range(r, m):
-            row = a[i]
-            for j in range(r, n):
-                v = row[j]
-                if v and (pivot is None or abs(v) < pivot[0]):
-                    pivot = (abs(v), i, j)
-        if pivot is None:
-            return r
-        _, pi, pj = pivot
-        if pi != r:
-            a[pi], a[r] = a[r], a[pi]
-        if pj != r:
-            for row in a:
-                row[pj], row[r] = row[r], row[pj]
-        piv = a[r][r]
-        for i in range(r + 1, m):
-            air = a[i][r]
-            rowi = a[i]
-            rowr = a[r]
-            for j in range(r + 1, n):
-                rowi[j] = (rowi[j] * piv - air * rowr[j]) // prev
-            rowi[r] = 0
-        prev = piv
-        r += 1
-        if r == m or r == n:
-            # check whether anything nonzero remains
-            if r == m:
-                return r
-            if all(a[i][j] == 0 for i in range(r, m) for j in range(r, n)):
-                return r
-
-
-def elementary_divisors(matrix, dim_cap: int = 2000) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix
-    (Smith normal form, smallest-pivot strategy)."""
-    a = _dense_int_matrix(matrix, dim_cap)
-    m = len(a)
-    n = len(a[0]) if a else 0
-    t = 0
-    divisors: list[int] = []
-    while t < min(m, n):
-        # smallest-magnitude nonzero entry in the active block
-        pivot = None
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (pivot is None or abs(v) < pivot[0]):
-                    pivot = (abs(v), i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != t:
-            a[pi], a[t] = a[t], a[pi]
-        if pj != t:
-            for row in a:
-                row[pj], row[t] = row[t], row[pj]
-        while True:
-            piv = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                v = a[i][t]
-                if v:
-                    q = _nearest_quotient(v, piv)
-                    if q:
-                        rowi, rowt = a[i], a[t]
-                        for j in range(t, n):
-                            rowi[j] -= q * rowt[j]
-                    if a[i][t]:
-                        a[i], a[t] = a[t], a[i]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                v = a[t][j]
-                if v:
-                    q = _nearest_quotient(v, piv)
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[j], row[t] = row[t], row[j]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide the rest of the block
-            piv = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                row = a[i]
-                for j in range(t + 1, n):
-                    if row[j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            rowo, rowt = a[offender], a[t]
-            for j in range(t, n):
-                rowt[j] += rowo[j]
-        divisors.append(abs(a[t][t]))
-        t += 1
-    return divisors
+        ranks, rank_q, _, _ = prove_rank_over_Q(matrix, candidates, trials,
+                                                seed)
+    else:
+        ranks = _rank_jobs(matrix, candidates)
+    return [p for p in candidates if ranks[p] < rank_q]

@@ -52,6 +52,10 @@ def _check_table_row(preset, rows, ranks, h1):
     assert got_ranks == ranks, preset
     assert got_h1 == h1, preset
     assert r["bad_primes"] == [p for p, h in zip((2, 3, 5, 7), h1) if h > 0]
+    # the smallest candidate reaching full rank proves the rational rank
+    assert r["certified"] is True, preset
+    assert r["certificate_prime"] == \
+        next(p for p, h in zip((2, 3, 5, 7), h1) if h == 0), preset
     return r
 
 
@@ -71,6 +75,7 @@ def test_criterion_02_reference_table_e8_long_running():
     r = _check_table_row("E8", rows, ranks, h1)
     assert r["results"]["q"]["rank"] == 1024380
     assert r["results"]["q"]["h1"] == 0
+    assert r["certificate_prime"] == 7
 
 
 def test_criterion_03_row_count_formula():

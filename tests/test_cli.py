@@ -10,10 +10,11 @@ import math
 import pytest
 
 import tautcheck.cli as cli
+import tautcheck.linalg as linalg
 from tautcheck import __version__
 from tautcheck.cli import analyze, main, render_text
 from tautcheck.graph import parse_graph, serialize_graph
-from tautcheck.linalg import rank_mod_p, sample_rank_primes
+from tautcheck.linalg import LinalgError, rank_mod_p, sample_rank_primes
 from tautcheck.plumbing import import_matrix
 
 STAR_H1 = {"q": 0, "p2": 1, "p3": 0, "p5": 0, "p7": 0}
@@ -55,7 +56,8 @@ def test_analyze_star_report_values():
         assert res["rank"] == STAR_RANK[key]
         assert res["h1"] == STAR_H1[key]
     assert r["bad_primes"] == [2]
-    assert r["certified"] is False
+    assert r["certified"] is True
+    assert r["certificate_prime"] == 3
     assert r["notes"] == []
     assert r["sampled_rank_primes"] == sample_rank_primes(3)
 
@@ -83,6 +85,8 @@ def test_analyze_single_vertex_taut_everywhere():
     for res in r["results"].values():
         assert res == {"rank": 0, "h1": 0, "taut": True, "verdict": "taut"}
     assert r["bad_primes"] == []
+    assert r["certified"] is True       # rank 0 = min(0, 0) at any prime
+    assert r["certificate_prime"] == 2
 
 
 def test_analyze_computed_cycle_postconditions():
@@ -134,12 +138,51 @@ def test_analyze_empty_primes_rejected():
 
 
 def test_analyze_certified_small_model():
-    r = analyze(preset="A2", primes=[2, 3, 7], j=5, certify=True)
+    r = analyze(preset="A2", primes=[2, 3, 7], j=5)
     assert r["certified"] is True
+    assert r["certificate_prime"] == 2
     assert r["model"]["rows"] == 40
     assert r["results"]["q"]["rank"] == 40
     for res in r["results"].values():
         assert res["h1"] == 0
+
+
+def _count_rank_calls(monkeypatch, rank=rank_mod_p):
+    """Route every modular rank through `rank`, recording the primes."""
+    calls = []
+
+    def counted(matrix, p):
+        calls.append(p)
+        return rank(matrix, p)
+    monkeypatch.setattr(linalg, "rank_mod_p", counted)
+    return calls
+
+
+def test_analyze_ranks_only_candidates_when_one_proves(monkeypatch):
+    calls = _count_rank_calls(monkeypatch)
+    r = analyze(preset="D4")
+    assert sorted(calls) == [2, 3, 5, 7]
+    assert r["certificate_prime"] == 3
+    assert r["sampled_rank_primes"] == sample_rank_primes(3)
+
+
+def test_analyze_unproved_rank_is_reported_as_lower_bound(monkeypatch):
+    calls = _count_rank_calls(
+        monkeypatch, lambda m, p: min(m.nrows, m.ncols) - 1)
+    r = analyze(preset="D4")
+    assert sorted(calls[:4]) == [2, 3, 5, 7]
+    assert calls[4:] == sample_rank_primes(3)
+    assert r["certified"] is False
+    assert r["certificate_prime"] is None
+    assert r["results"]["q"]["rank"] == 659
+    assert "rational rank is a lower bound" in render_text(r)
+
+
+def test_analyze_impossible_rank_fails_internal_check(monkeypatch):
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda m, p: m.nrows + 1)
+    with pytest.raises(LinalgError, match="internal check failed"):
+        analyze(preset="D4")
+    assert main(["analyze", "--preset", "D4"]) == 1
 
 
 def test_analyze_mem_cap_refusal():
@@ -213,6 +256,7 @@ def test_main_text_report(capsys):
     assert err == ""
     assert out.startswith("tautcheck ")
     assert "bad primes: 2" in out
+    assert "rational rank proved: full rank mod 3" in out
     assert "659" in out
     assert "conjecturally 2 isomorphism classes" in out
 

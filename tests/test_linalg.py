@@ -1,27 +1,26 @@
-"""Exact rank computations: modular ranks, the Monte-Carlo rational rank,
-bad-prime detection, and integer normal forms.
+"""Exact rank computations: modular ranks, the rational rank proved from
+them, and bad-prime detection.
 
 Oracles here are written independently of the library: plain Gaussian
-elimination over GF(p), Fraction elimination over the rationals, and the
-gcd-of-minors characterization of invariant factors.
+elimination over GF(p) and Fraction elimination over the rationals.
 """
 
-import itertools
-import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tautcheck.linalg as linalg
 from tautcheck.linalg import (
     LinalgError,
     bad_primes,
-    certified_rank,
-    elementary_divisors,
     is_probable_prime,
     modular_rank_survey,
     next_prime,
+    prove_rank_over_Q,
     rank_mod_p,
     rank_over_Q,
     sample_rank_primes,
@@ -76,31 +75,6 @@ def oracle_rank_over_Q(dense):
         if r == m:
             break
     return r
-
-
-def minors_gcd(dense, k):
-    """gcd of all k x k minors (0 when all vanish)."""
-    m, n = len(dense), len(dense[0])
-    g = 0
-    for rows in itertools.combinations(range(m), k):
-        for cols in itertools.combinations(range(n), k):
-            sub = [[Fraction(dense[r][c]) for c in cols] for r in rows]
-            # exact determinant by fraction-free expansion via Fractions
-            det = _det(sub)
-            g = math.gcd(g, int(det))
-    return g
-
-
-def _det(a):
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        if a[0][j]:
-            sub = [row[:j] + row[j + 1:] for row in a[1:]]
-            total += (-1) ** j * a[0][j] * _det(sub)
-    return total
 
 
 def from_dense(dense):
@@ -276,65 +250,59 @@ def test_bad_primes_with_supplied_rational_rank():
 
 
 # ---------------------------------------------------------------------------
-# certified rank
+# proving the rational rank
 
 
-def test_certified_rank_agreement():
-    rng = random.Random(17)
-    for _ in range(25):
-        dense = random_dense(rng, max_dim=12, density=0.4)
-        m = from_dense(dense)
-        assert certified_rank(m) == oracle_rank_over_Q(dense)
+def test_prove_rank_stops_at_first_full_rank_candidate():
+    m = from_dense([[2, 0], [0, 6]])
+    proof = prove_rank_over_Q(m, [7, 5, 3, 2])
+    assert proof.ranks == {2: 0, 3: 1, 5: 2, 7: 2}
+    assert (proof.rank_q, proof.certificate_prime) == (2, 5)
+    assert proof.sampled_primes == sample_rank_primes(3)
 
 
-def test_certified_rank_dim_cap():
-    m = SparseIntMatrix.empty(2001, 3)
-    with pytest.raises(LinalgError):
-        certified_rank(m)
-    assert certified_rank(SparseIntMatrix.empty(2000, 3)) == 0
+def test_prove_rank_falls_back_to_one_seeded_prime(monkeypatch):
+    calls = []
+
+    def counted(matrix, p):
+        calls.append(p)
+        return rank_mod_p(matrix, p)
+    monkeypatch.setattr(linalg, "rank_mod_p", counted)
+    q0 = sample_rank_primes(3)[0]
+    proof = prove_rank_over_Q(from_dense([[210]]), [2, 3, 5, 7])
+    assert sorted(calls) == [2, 3, 5, 7, q0]
+    assert proof.ranks == {2: 0, 3: 0, 5: 0, 7: 0, q0: 1}
+    assert (proof.rank_q, proof.certificate_prime) == (1, q0)
 
 
-# ---------------------------------------------------------------------------
-# elementary divisors
+def test_prove_rank_leaves_deficient_rank_unproved():
+    proof = prove_rank_over_Q(from_dense([[1, 1], [1, 1]]), [2, 3, 5, 7])
+    assert proof.certificate_prime is None
+    assert proof.rank_q == 1
+    assert set(proof.ranks) == {2, 3, 5, 7, *sample_rank_primes(3)}
 
 
-def test_elementary_divisors_examples():
-    assert elementary_divisors(from_dense([[2, 0], [0, 6]])) == [2, 6]
-    assert elementary_divisors(from_dense([[2, 0], [0, 0]])) == [2]
-    assert elementary_divisors(from_dense([[1, 0], [0, 1]])) == [1, 1]
-    assert elementary_divisors(SparseIntMatrix.empty(3, 3)) == []
+def test_prove_rank_of_empty_model_is_trivial():
+    for m in (SparseIntMatrix.empty(0, 0), SparseIntMatrix.empty(0, 5)):
+        proof = prove_rank_over_Q(m, [2, 3])
+        assert (proof.rank_q, proof.certificate_prime) == (0, 2)
+        assert proof.ranks == {2: 0, 3: 0}
 
 
-def test_elementary_divisors_normalize_order():
-    # diag(6, 2) has the same invariant factors as diag(2, 6)
-    assert elementary_divisors(from_dense([[6, 0], [0, 2]])) == [2, 6]
-    assert elementary_divisors(from_dense([[0, 4], [6, 0]])) == [2, 12]
+_small_dense = st.integers(1, 6).flatmap(
+    lambda m: st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.one_of(st.integers(-12, 12),
+                               st.sampled_from([30, 42, 210])),
+                     min_size=n, max_size=n),
+            min_size=m, max_size=m)))
 
 
-def test_elementary_divisors_against_minors_gcd():
-    """d_1 ... d_k equals the gcd of all k x k minors (the defining
-    characterization), checked exhaustively on small matrices."""
-    rng = random.Random(404)
-    for _ in range(20):
-        dense = random_dense(rng, max_dim=4, lo=-9, hi=9, density=0.7)
-        divs = elementary_divisors(from_dense(dense))
-        prod = 1
-        for k, d in enumerate(divs, start=1):
-            prod *= d
-            assert minors_gcd(dense, k) == prod
-        # one step beyond the rank every minor vanishes
-        k = len(divs) + 1
-        if k <= min(len(dense), len(dense[0])):
-            assert minors_gcd(dense, k) == 0
-
-
-def test_elementary_divisors_chain_and_rank_consistency():
-    rng = random.Random(505)
-    for _ in range(15):
-        dense = random_dense(rng, max_dim=8, lo=-15, hi=15, density=0.5)
-        m = from_dense(dense)
-        divs = elementary_divisors(m)
-        assert all(b % a == 0 for a, b in zip(divs, divs[1:]))
-        assert len(divs) == certified_rank(m)
-        for p in (2, 3, 5, 7):
-            assert rank_mod_p(m, p) == sum(1 for d in divs if d % p)
+@settings(max_examples=80, deadline=None)
+@given(_small_dense)
+def test_prove_rank_never_exceeds_oracle_and_is_exact_when_proved(dense):
+    proof = prove_rank_over_Q(from_dense(dense), [2, 3, 5, 7])
+    rq = oracle_rank_over_Q(dense)
+    assert proof.rank_q <= rq
+    if proof.certificate_prime is not None:
+        assert proof.rank_q == rq
