@@ -20,9 +20,8 @@ from .sparse import (SparseIntMatrix, SparseMatrixError, matrix_from_text,
                      matrix_to_text, read_matrix_text, write_matrix_text)
 from .plumbing import (GeneratorColumn, IntersectionPoint, PlumbingError,
                        PlumbingModel, RowIndex, assemble_matrix, build_model,
-                       enumerate_generators, enumerate_points,
-                       estimate_assembly, expand_at_point, export_matrix,
-                       import_matrix, row_space)
+                       enumerate_generators, estimate_assembly,
+                       expand_at_point, row_space)
 from .linalg import (LinalgError, bad_primes, is_probable_prime,
                      next_prime, prove_rank_over_Q, rank_mod_p, rank_over_Q)
 
@@ -38,8 +37,7 @@ __all__ = [
     "matrix_to_text", "read_matrix_text", "write_matrix_text",
     "GeneratorColumn", "IntersectionPoint", "PlumbingError", "PlumbingModel",
     "RowIndex", "assemble_matrix", "build_model", "enumerate_generators",
-    "enumerate_points", "estimate_assembly", "expand_at_point",
-    "export_matrix", "import_matrix", "row_space",
+    "estimate_assembly", "expand_at_point", "row_space",
     "LinalgError", "bad_primes", "is_probable_prime", "next_prime",
     "prove_rank_over_Q", "rank_mod_p", "rank_over_Q",
 ]

@@ -94,6 +94,9 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     primes = sorted({int(p) for p in primes})
     if not primes:
         raise ValueError("need at least one candidate prime")
+    for p in primes:
+        if not linalg.is_probable_prime(p):
+            raise ValueError(f"candidate characteristic {p} is not prime")
     base = {"tool": "tautcheck", "version": __version__,
             "graph": _graph_summary(g, label)}
 

@@ -63,7 +63,6 @@ def fundamental_cycle(g: DualGraph, max_steps: int = 1_000_000) -> tuple[int, ..
                 z[i] += 1
                 break
         else:
-            assert all(v <= 0 for v in pair)
             return tuple(z)
     raise CyclesError("fundamental cycle iteration did not terminate "
                       "(is the graph negative definite?)")
@@ -81,9 +80,7 @@ def anti_ample_cycle(g: DualGraph, max_steps: int = 1_000_000) -> tuple[int, ...
                 z[i] += 1
                 break
         else:
-            result = tuple(z)
-            assert is_anti_ample(g, result)
-            return result
+            return tuple(z)
     raise CyclesError("anti-ample iteration did not terminate "
                       "(is the graph negative definite?)")
 
@@ -130,8 +127,9 @@ def make_coprime(g: DualGraph, z: tuple[int, ...], p: int) -> tuple[int, ...]:
     if all(c % p != 0 for c in scaled):
         return tuple(z)
     result = tuple(c + 1 if c % p == 0 else c for c in scaled)
-    assert is_anti_ample(g, result)
-    assert all(c % p != 0 for c in result)
+    if not is_anti_ample(g, result) or any(c % p == 0 for c in result):
+        raise CyclesError(f"internal check failed: {result} is not an "
+                          f"anti-ample cycle prime to {p}")
     return result
 
 
@@ -153,6 +151,8 @@ def make_coprime_to_all(g: DualGraph, z: tuple[int, ...],
     _check_cycle_arg(g, z)
     if not is_anti_ample(g, z):
         raise CyclesError("make_coprime_to_all requires an anti-ample cycle")
+    if any(p < 1 for p in primes):
+        raise CyclesError(f"primes must be >= 1, got {list(primes)}")
     ps = sorted({p for p in primes if p != 1})
     if not ps:
         return tuple(z)
@@ -174,8 +174,10 @@ def make_coprime_to_all(g: DualGraph, z: tuple[int, ...],
         m_used = max(bumps)
         if s >= m_used * t + 1:
             result = tuple(s * c + b for c, b in zip(z, bumps))
-            assert is_anti_ample(g, result)
-            assert all(math.gcd(c, q) == 1 for c in result)
+            if not is_anti_ample(g, result) or \
+                    any(math.gcd(c, q) != 1 for c in result):
+                raise CyclesError(f"internal check failed: {result} is not "
+                                  f"an anti-ample cycle prime to {ps}")
             return result
         m = m_used
 
@@ -231,7 +233,6 @@ def greedy_tau(g: DualGraph, zbar: tuple[int, ...]) -> tuple[int, list[int]]:
         recorded.append(pair[best])
         z[best] += 1
         beta.append(best)
-    assert tuple(z) == tuple(zbar)
     return (max(recorded) if recorded else 0), beta
 
 

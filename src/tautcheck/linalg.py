@@ -346,13 +346,6 @@ def prove_rank_over_Q(matrix, candidates, trials: int = 3,
     return RationalRank(ranks, max(ranks.values(), default=0), proof, sampled)
 
 
-def modular_rank_survey(matrix, trials: int = 3,
-                        seed: int = _DEFAULT_SEED) -> tuple[int, list[int]]:
-    """Max rank over `trials` random 31-bit primes, with the primes used."""
-    primes = sample_rank_primes(trials, seed)
-    return max(rank_mod_p(matrix, q) for q in primes), primes
-
-
 def rank_over_Q(matrix, trials: int = 3, seed: int = _DEFAULT_SEED) -> int:
     """Rational rank from the seeded 31-bit primes (`prove_rank_over_Q`
     without candidates): exact once one of them reaches full rank, a

@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,10 +216,6 @@ def _point_layout(model: PlumbingModel,
     return out, off
 
 
-def enumerate_points(model: PlumbingModel) -> list[IntersectionPoint]:
-    return list(model.points)
-
-
 def row_space(model: PlumbingModel) -> list[RowIndex]:
     """All rows in canonical order.  Materializes one object per row;
     intended for inspection and tests, not for the big workloads."""
@@ -330,19 +327,16 @@ def _candidate_columns(model: PlumbingModel,
 
 
 def _point_context(model: PlumbingModel, l: int, ei: int,
-                   w: list[int]) -> tuple:
-    """(point, slot at l, chart, shifted, swap, n_self, n_arm) for the
-    expansion of vertex-l sections at edge ei's point."""
+                   w: list[int]) -> tuple[int, bool, bool, int, int]:
+    """(chart, shifted, swap, n_self, n_arm) for the expansion of vertex-l
+    sections at edge ei's point."""
     pt = model.points[ei]
-    nbr = pt.vb if pt.va == l else pt.va
     slot = model.slots[l][ei]
-    chart = 1 if slot == SLOTINF else 0
-    shifted = slot == SLOT1
-    swap = pt.side != l
-    return pt, slot, chart, shifted, swap, w[l], w[nbr]
+    return (1 if slot == SLOTINF else 0, slot == SLOT1, pt.side != l,
+            w[l], w[pt.vb if pt.va == l else pt.va])
 
 
-def _row_ids(kind: str, xe: np.ndarray, ye: np.ndarray, swap: bool,
+def _row_ids(xe: np.ndarray, ye: np.ndarray, kind: str, swap: bool,
              n_self: int, n_arm: int, offset: int) -> np.ndarray:
     """Absolute row ids for side-l monomials (kind, xe, ye).  When the
     canonical side is the neighbor, the cross-gluing swaps the kind and
@@ -365,16 +359,71 @@ def _window_mask(kind: str, xe: np.ndarray, ye: np.ndarray,
     return (xe >= xlo) & (xe < n_arm) & (ye >= ylo) & (ye < n_self)
 
 
+class _Runs(NamedTuple):
+    """Entries of one block, one run per candidate column of a batch:
+    lens[i] entries in column col0 + i, at the side-l monomials
+    (kind, x0[i] + r, ye[i]) with value coef * C(bin_n[i], bin_k[i] + r),
+    for 0 <= r < lens[i].  `lens` is a boolean mask when every run has
+    length 0 or 1; x0, bin_n and bin_k are arrays or one int for all."""
+
+    col0: int
+    lens: np.ndarray
+    x0: np.ndarray | int
+    ye: np.ndarray
+    bin_n: np.ndarray | int
+    bin_k: np.ndarray | int
+    coef: int
+    where: tuple                     # (kind, swap, n_self, n_arm, offset)
+
+
+def _entry_runs(model: PlumbingModel, w: list[int],
+                batches: list[_ColumnBatch]):
+    """Every matrix entry for row windows `w`, walked once per (column
+    batch, incident point, chart term) and yielded as `_Runs` blocks.
+    An unshifted term gives runs of length 0 or 1 with factor C(0, 0)."""
+    layout, _ = _point_layout(model, w)
+    for batch in batches:
+        l = batch.vertex
+        for ei in model.incident[l]:
+            chart, shifted, swap, n_self, n_arm = \
+                _point_context(model, l, ei, w)
+            for coef, xa, xb, xc, e, yoff, kind in \
+                    _terms(batch.family, batch.vanish_one, model.nu[l], chart):
+                xe = xa * batch.a + xb * batch.b + xc
+                ye = batch.b + yoff
+                where = (kind, swap, n_self, n_arm, layout[ei][0])
+                if not shifted:
+                    # xbar^xe (xbar - 1)^e, one monomial per piece
+                    for c, x in (((coef, xe),) if e == 0 else
+                                 ((coef, xe + 1), (-coef, xe))):
+                        lens = _window_mask(kind, x, ye, n_self, n_arm)
+                        yield _Runs(batch.col_start, lens, x, ye, 0, 0, c, where)
+                    continue
+                # (xbar+1)^xe xbar^e -> sum_k C(xe, k-e) xbar^k, k >= klo
+                klo = max(e, 1 if kind == KIND_DX else 0)
+                ylo = 1 if kind == KIND_DY else 0
+                lens = np.maximum(np.minimum(xe + e, n_arm - 1) - klo + 1, 0)
+                lens *= (ye >= ylo) & (ye < n_self)
+                yield _Runs(batch.col_start, lens, klo, ye, xe, klo - e, coef,
+                            where)
+
+
+def _spread(v: np.ndarray | int, lens: np.ndarray) -> np.ndarray | int:
+    """Per-run values over the entries of their runs (an int stays)."""
+    return v.repeat(lens) if isinstance(v, np.ndarray) else v
+
+
 def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True,
                     window: int | None = None, b_cap: int | None = None,
                     ) -> SparseIntMatrix:
     """Assemble the restriction matrix.
 
-    Streams exact entries per (generator family, point) in vectorized
-    batches; never materializes a dense row.  All-zero candidate columns
-    are dropped unless `drop_zero_columns` is false.  `window` and
-    `b_cap` override the row window and the generator b-range (used by
-    the truncation-soundness tests); by default both equal the vertex
+    Keeps the non-empty runs of one `_entry_runs` walk, allocates the
+    entry arrays once for their total length and fills them; never
+    materializes a dense row.  All-zero candidate columns are dropped
+    unless `drop_zero_columns` is false.  `window` and `b_cap` override
+    the row window and the generator b-range (used by the
+    truncation-soundness tests); by default both equal the vertex
     multiplicities.
 
     The result is cached on the model for the default arguments.
@@ -385,84 +434,38 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True,
         return cached[0]
     w = [window if window is not None else m for m in model.mult]
     caps = [b_cap if b_cap is not None else m for m in model.mult]
-    layout, nrows = _point_layout(model, w)
+    _, nrows = _point_layout(model, w)
     batches = _candidate_columns(model, caps)
     total_cols = (batches[-1].col_start + batches[-1].a.size) if batches else 0
-    parts_r, parts_c, parts_base, parts_bn, parts_bk = [], [], [], [], []
-
-    for batch in batches:
-        l = batch.vertex
-        nu = model.nu[l]
-        a_all, b_all = batch.a, batch.b
-        if a_all.size == 0:
-            continue
-        cols_all = batch.col_start + np.arange(a_all.size, dtype=np.int64)
-        for ei in model.incident[l]:
-            pt, slot, chart, shifted, swap, n_self, n_arm = \
-                _point_context(model, l, ei, w)
-            offset = layout[ei][0]
-            for coef, xa, xb, xc, e, yoff, kind in \
-                    _terms(batch.family, batch.vanish_one, nu, chart):
-                xe = xa * a_all + xb * b_all + xc
-                ye = b_all + yoff
-                if shifted:
-                    # (xbar+1)^xe xbar^e -> sum_k C(xe, k-e) xbar^k
-                    ylo = 1 if kind == KIND_DY else 0
-                    klo = max(e, 1 if kind == KIND_DX else 0)
-                    ymask = (ye >= ylo) & (ye < n_self) & (xe >= 0)
-                    khi = np.minimum(xe + e, n_arm - 1)
-                    lens = np.maximum(khi - klo + 1, 0) * ymask
-                    if not lens.any():
-                        continue
-                    k = _ragged_arange(lens) + klo
-                    xer = np.repeat(xe, lens)
-                    yer = np.repeat(ye, lens)
-                    cr = np.repeat(cols_all, lens)
-                    rows = _row_ids(kind, k, yer, swap, n_self, n_arm, offset)
-                    parts_r.append(rows)
-                    parts_c.append(cr)
-                    parts_base.append(np.full(k.size, coef, dtype=np.int64))
-                    parts_bn.append(xer.astype(np.int32))
-                    parts_bk.append((k - e).astype(np.int32))
-                else:
-                    pieces = ((coef, xe),) if e == 0 else \
-                        ((coef, xe + 1), (-coef, xe))
-                    for c2, xarr in pieces:
-                        mask = _window_mask(kind, xarr, ye, n_self, n_arm)
-                        if not mask.any():
-                            continue
-                        xm, ym = xarr[mask], ye[mask]
-                        rows = _row_ids(kind, xm, ym, swap, n_self, n_arm,
-                                        offset)
-                        parts_r.append(rows)
-                        parts_c.append(cols_all[mask])
-                        parts_base.append(np.full(xm.size, c2, dtype=np.int64))
-                        parts_bn.append(np.zeros(xm.size, dtype=np.int32))
-                        parts_bk.append(np.zeros(xm.size, dtype=np.int32))
-
-    if parts_r:
-        rows = np.concatenate(parts_r)
-        parts_r.clear()
-        cols = np.concatenate(parts_c)
-        parts_c.clear()
-        base = np.concatenate(parts_base)
-        parts_base.clear()
-        bn = np.concatenate(parts_bn)
-        parts_bn.clear()
-        bk = np.concatenate(parts_bk)
-        parts_bk.clear()
-    else:
-        rows = cols = base = np.zeros(0, dtype=np.int64)
-        bn = bk = np.zeros(0, dtype=np.int32)
-
+    runs = [(run, n) for run in _entry_runs(model, w, batches)
+            if (n := int(run.lens.sum()))]
+    nnz = sum(n for _, n in runs)
+    row, col, base = (np.empty(nnz, dtype=np.int64) for _ in range(3))
+    bin_n, bin_k = (np.empty(nnz, dtype=np.int32) for _ in range(2))
+    end = 0
+    for run, n in runs:
+        # offsets along the runs; all 0 when every run is one entry long
+        r = 0 if run.lens.dtype == bool else _ragged_arange(run.lens)
+        at = slice(end, end + n)
+        end += n
+        row[at] = _row_ids(_spread(run.x0, run.lens) + r,
+                           _spread(run.ye, run.lens), *run.where)
+        col[at] = run.col0 + np.arange(run.lens.size).repeat(run.lens)
+        base[at] = run.coef
+        bin_n[at] = _spread(run.bin_n, run.lens)
+        bin_k[at] = _spread(run.bin_k, run.lens) + r
+    del runs                 # freed before the matrix sorts its entries
     if drop_zero_columns:
-        present = np.unique(cols)
-        cols = np.searchsorted(present, cols)
+        # a bitmap of the used columns, not a sort of all entries
+        seen = np.zeros(total_cols, dtype=bool)
+        seen[col] = True
+        present = np.flatnonzero(seen)
+        col = (np.cumsum(seen) - 1)[col]
         ncols = int(present.size)
     else:
         present = None
         ncols = total_cols
-    matrix = SparseIntMatrix(nrows, ncols, rows, cols, base, bn, bk)
+    matrix = SparseIntMatrix(nrows, ncols, row, col, base, bin_n, bin_k)
     # column descriptors are materialized lazily by enumerate_generators
     model._cache[key] = (matrix, batches, present)
     return matrix
@@ -516,7 +519,7 @@ def expand_at_point(col: GeneratorColumn, pt: IntersectionPoint,
         raise PlumbingError(f"point {pt.index} is not incident to vertex "
                             f"{l} or its neighbors")
     nu = model.nu[l]
-    _, slot, chart, shifted, swap, n_self, n_arm = \
+    chart, shifted, swap, n_self, n_arm = \
         _point_context(model, l, pt.index, model.mult)
     vanish_one = SLOT1 in model.occupancy(l)
     out: dict[tuple[str, int, int], int] = {}
@@ -556,57 +559,17 @@ def expand_at_point(col: GeneratorColumn, pt: IntersectionPoint,
 
 def estimate_assembly(model: PlumbingModel) -> dict:
     """Exact entry count and a memory estimate without materializing the
-    entry arrays (no additive cancellation occurs, so the count is the
-    assembled nnz)."""
-    w = model.mult
-    caps = model.mult
-    batches = _candidate_columns(model, caps)
-    nnz = 0
-    for batch in batches:
-        l = batch.vertex
-        nu = model.nu[l]
-        a_all, b_all = batch.a, batch.b
-        if a_all.size == 0:
-            continue
-        for ei in model.incident[l]:
-            pt, slot, chart, shifted, swap, n_self, n_arm = \
-                _point_context(model, l, ei, w)
-            for coef, xa, xb, xc, e, yoff, kind in \
-                    _terms(batch.family, batch.vanish_one, nu, chart):
-                xe = xa * a_all + xb * b_all + xc
-                ye = b_all + yoff
-                if shifted:
-                    ylo = 1 if kind == KIND_DY else 0
-                    klo = max(e, 1 if kind == KIND_DX else 0)
-                    ymask = (ye >= ylo) & (ye < n_self) & (xe >= 0)
-                    khi = np.minimum(xe + e, n_arm - 1)
-                    nnz += int((np.maximum(khi - klo + 1, 0) * ymask).sum())
-                else:
-                    if e == 0:
-                        nnz += int(_window_mask(kind, xe, ye, n_self,
-                                                n_arm).sum())
-                    else:
-                        nnz += int(_window_mask(kind, xe + 1, ye, n_self,
-                                                n_arm).sum())
-                        nnz += int(_window_mask(kind, xe, ye, n_self,
-                                                n_arm).sum())
+    entry arrays.  The count sums the run lengths `assemble_matrix`
+    fills (no additive cancellation occurs), so it is the assembled nnz."""
+    batches = _candidate_columns(model, model.mult)
+    nnz = sum(int(run.lens.sum())
+              for run in _entry_runs(model, model.mult, batches))
     ncand = (batches[-1].col_start + batches[-1].a.size) if batches else 0
-    _, nrows = _point_layout(model, w)
     return {
-        "rows": nrows,
+        "rows": model.row_count,
         "candidate_columns": ncand,
         "points": len(model.points),
         "nnz": nnz,
         "entry_bytes": nnz * 32,
         "assembly_peak_bytes": nnz * 96,
     }
-
-
-def export_matrix(matrix: SparseIntMatrix, path: str) -> None:
-    from .sparse import write_matrix_text
-    write_matrix_text(matrix, path)
-
-
-def import_matrix(path: str) -> SparseIntMatrix:
-    from .sparse import read_matrix_text
-    return read_matrix_text(path)

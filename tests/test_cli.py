@@ -6,16 +6,21 @@ and invariance of the results under relabeling of the input graph.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tautcheck
 import tautcheck.cli as cli
 import tautcheck.linalg as linalg
 from tautcheck import __version__
 from tautcheck.cli import analyze, main, render_text
-from tautcheck.graph import parse_graph, serialize_graph
+from tautcheck.graph import parse_graph, preset_graph, serialize_graph
 from tautcheck.linalg import LinalgError, rank_mod_p, sample_rank_primes
-from tautcheck.plumbing import import_matrix
+from tautcheck.sparse import read_matrix_text
 
 STAR_H1 = {"q": 0, "p2": 1, "p3": 0, "p5": 0, "p7": 0}
 STAR_RANK = {"q": 660, "p2": 659, "p3": 660, "p5": 660, "p7": 660}
@@ -306,6 +311,23 @@ def test_main_bad_primes_argument_rejected(capsys):
     assert exc.value.code == 2
 
 
+def test_main_non_prime_candidate_errors_at_once(tmp_path):
+    """Rejected before the cycles stage: on a graph file the coprime
+    repair of the computed cycle used to hang on a candidate 0."""
+    path = tmp_path / "d4.txt"
+    path.write_text(serialize_graph(preset_graph("D4")[0]))
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(tautcheck.__file__).resolve().parents[1])}
+    for primes in ("0", "2,4"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tautcheck.cli", "analyze", "--graph",
+             str(path), f"--primes={primes}"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, primes
+        assert proc.stdout == ""
+        assert "is not prime" in proc.stderr
+
+
 def test_main_mem_cap_flag(capsys):
     code, out, _ = _run(capsys, ["analyze", "--preset", "D4",
                                  "--mem-cap", "1000"])
@@ -324,7 +346,7 @@ def test_main_export_star(tmp_path, capsys):
     assert code == 0
     with open(path) as f:
         assert f.readline().strip() == "660 720 M"
-    assert rank_mod_p(import_matrix(str(path)), 2) == 659
+    assert rank_mod_p(read_matrix_text(str(path)), 2) == 659
 
 
 def test_main_export_single_vertex(tmp_path, capsys):

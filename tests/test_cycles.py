@@ -174,6 +174,14 @@ def test_make_coprime_to_all_passthrough_when_coprime():
     assert make_coprime_to_all(g, (1, 1), []) == (1, 1)
 
 
+def test_make_coprime_to_all_rejects_entries_below_one():
+    """A 0 once made the bump search loop forever on gcd(x, 0) = x."""
+    g, cyc = preset_graph("D4")
+    for primes in ([0], [2, 0], [-3]):
+        with pytest.raises(CyclesError):
+            make_coprime_to_all(g, cyc, primes)
+
+
 def test_make_coprime_to_all_matches_single_prime_on_repairs():
     """For a one-prime set and an input whose coefficients actually hit the
     prime, the generalized pass reduces to the classical scale-and-bump."""

@@ -18,7 +18,6 @@ from tautcheck.linalg import (
     LinalgError,
     bad_primes,
     is_probable_prime,
-    modular_rank_survey,
     next_prime,
     prove_rank_over_Q,
     rank_mod_p,
@@ -214,13 +213,6 @@ def test_rank_over_q_agreement_with_fraction_oracle():
         assert rank_over_Q(m) == oracle_rank_over_Q(dense)
 
 
-def test_modular_rank_survey_reports_primes():
-    m = from_dense([[2, 0], [0, 3]])
-    rank, primes = modular_rank_survey(m, trials=3)
-    assert rank == 2
-    assert primes == sample_rank_primes(3)
-
-
 def test_modular_rank_never_exceeds_rational_rank():
     rng = random.Random(8)
     for _ in range(20):
@@ -273,6 +265,14 @@ def test_prove_rank_falls_back_to_one_seeded_prime(monkeypatch):
     assert sorted(calls) == [2, 3, 5, 7, q0]
     assert proof.ranks == {2: 0, 3: 0, 5: 0, 7: 0, q0: 1}
     assert (proof.rank_q, proof.certificate_prime) == (1, q0)
+
+
+def test_modular_rank_survey_reports_primes():
+    # without candidates only the seeded primes are ranked
+    m = from_dense([[2, 0], [0, 3]])
+    proof = prove_rank_over_Q(m, [])
+    assert proof.rank_q == rank_over_Q(m) == 2
+    assert proof.sampled_primes == sample_rank_primes(3)
 
 
 def test_prove_rank_leaves_deficient_rank_unproved():

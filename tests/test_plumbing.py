@@ -9,6 +9,8 @@ vectorized assembly.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautcheck.graph import parse_graph, preset_graph
 from tautcheck.linalg import rank_mod_p, rank_over_Q
@@ -21,13 +23,11 @@ from tautcheck.plumbing import (
     assemble_matrix,
     build_model,
     enumerate_generators,
-    enumerate_points,
     estimate_assembly,
     expand_at_point,
-    export_matrix,
-    import_matrix,
     row_space,
 )
+from tautcheck.sparse import read_matrix_text, write_matrix_text
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,7 @@ def test_build_model_star_slots():
 def test_build_model_single_vertex():
     g, _ = preset_graph("A1")
     m = build_model(g, 11, [2, 3, 5, 7])
-    assert enumerate_points(m) == []
+    assert m.points == []
     assert m.row_count == 0
 
 
@@ -110,14 +110,14 @@ def test_point_counts():
     for name, pts in [("D4", 3), ("A1", 0), ("A2", 1), ("E8", 7)]:
         g, _ = preset_graph(name)
         m = build_model(g, 11, [2, 3, 5, 7])
-        assert len(enumerate_points(m)) == pts, name
+        assert len(m.points) == pts, name
 
 
 def test_row_count_formula():
     for name, j in [("A2", 11), ("D4", 11), ("D5", 19), ("E6", 43)]:
         g, _ = preset_graph(name)
         m = build_model(g, j, [2, 3, 5, 7])
-        pt = len(enumerate_points(m))
+        pt = len(m.points)
         assert m.row_count == 2 * pt * (j * j - j), name
 
 
@@ -330,6 +330,33 @@ def test_assembly_matches_scalar_expansion_permuted_slots():
             _rebuild_from_expansions(model, 5)
 
 
+@st.composite
+def _small_tree_models(draw):
+    """Potentially-taut trees on 2-4 vertices (negative definite, since
+    every self-intersection is -2..-4), random slots, j in {3, 5, 7}."""
+    n = draw(st.integers(2, 4))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    text = "".join(f"vertex v{i} genus=0 selfint={draw(st.integers(-4, -2))}\n"
+                   for i in range(n))
+    text += "".join(f"edge v{p} v{i}\n" for i, p in enumerate(parents, 1))
+    valence = [parents.count(l) + (l > 0) for l in range(n)]
+    slots = {l: list(draw(st.permutations(["0", "inf", "1"])))[:valence[l]]
+             for l in range(n)}
+    return build_model(parse_graph(text), draw(st.sampled_from([3, 5, 7])),
+                       [2], slot_assignment=slots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_tree_models())
+def test_estimate_and_assembly_agree_on_random_trees(model):
+    nnz = estimate_assembly(model)["nnz"]
+    mat = assemble_matrix(model)
+    assert nnz == mat.nnz == assemble_matrix(model,
+                                             drop_zero_columns=False).nnz
+    assert {(r, c): v for r, c, v in mat.entries()} == \
+        _rebuild_from_expansions(model, model.j)
+
+
 # ---------------------------------------------------------------------------
 # assembled matrix properties
 
@@ -403,10 +430,10 @@ def test_export_import_round_trip_preserves_rank(tmp_path):
     m = build_model(g, 11, [2, 3, 5, 7])
     mat = assemble_matrix(m)
     path = tmp_path / "star.txt"
-    export_matrix(mat, str(path))
+    write_matrix_text(mat, str(path))
     with open(path) as f:
         assert f.readline().strip() == "660 720 M"
-    back = import_matrix(str(path))
+    back = read_matrix_text(str(path))
     assert (back.nrows, back.ncols, back.nnz) == (660, 720, mat.nnz)
     assert list(back.entries()) == list(mat.entries())
     assert rank_mod_p(back, 2) == 659
