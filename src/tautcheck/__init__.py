@@ -14,7 +14,7 @@ from .graph import (DualGraph, GraphError, VertexData, intersection_matrix,
 from .cycles import (CyclesError, MultiplicityPlan, anti_ample_cycle,
                      choose_j, exhaustive_tau_min, fundamental_cycle,
                      greedy_tau, is_anti_ample, make_coprime,
-                     make_coprime_to_all, significant_multiplicity,
+                     make_coprime_to_all, significant_multiplicity_to_all,
                      step_vanishing_check, vanishing_floor)
 from .sparse import (SparseIntMatrix, SparseMatrixError, matrix_from_text,
                      matrix_to_text, read_matrix_text, write_matrix_text)
@@ -22,8 +22,8 @@ from .plumbing import (GeneratorColumn, IntersectionPoint, PlumbingError,
                        PlumbingModel, RowIndex, assemble_matrix, build_model,
                        enumerate_generators, estimate_assembly,
                        expand_at_point, row_space)
-from .linalg import (LinalgError, bad_primes, is_probable_prime,
-                     next_prime, prove_rank_over_Q, rank_mod_p, rank_over_Q)
+from .linalg import (LinalgError, is_probable_prime, next_prime,
+                     prove_rank_over_Q, rank_mod_p)
 
 __all__ = [
     "DualGraph", "GraphError", "VertexData", "intersection_matrix",
@@ -31,13 +31,13 @@ __all__ = [
     "parse_graph", "preset_graph", "serialize_graph",
     "CyclesError", "MultiplicityPlan", "anti_ample_cycle", "choose_j",
     "exhaustive_tau_min", "fundamental_cycle", "greedy_tau", "is_anti_ample",
-    "make_coprime", "make_coprime_to_all", "significant_multiplicity",
+    "make_coprime", "make_coprime_to_all", "significant_multiplicity_to_all",
     "step_vanishing_check", "vanishing_floor",
     "SparseIntMatrix", "SparseMatrixError", "matrix_from_text",
     "matrix_to_text", "read_matrix_text", "write_matrix_text",
     "GeneratorColumn", "IntersectionPoint", "PlumbingError", "PlumbingModel",
     "RowIndex", "assemble_matrix", "build_model", "enumerate_generators",
     "estimate_assembly", "expand_at_point", "row_space",
-    "LinalgError", "bad_primes", "is_probable_prime", "next_prime",
-    "prove_rank_over_Q", "rank_mod_p", "rank_over_Q",
+    "LinalgError", "is_probable_prime", "next_prime", "prove_rank_over_Q",
+    "rank_mod_p",
 ]

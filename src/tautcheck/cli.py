@@ -74,8 +74,7 @@ def _characteristic_result(r_rows: int, rank: int) -> dict:
 def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
             primes=DEFAULT_PRIMES, mode: str = "paper", j: int | None = None,
             mem_cap: int | None = None,
-            export_path: str | None = None, trials: int = 3,
-            seed: int = linalg._DEFAULT_SEED, return_objects: bool = False):
+            export_path: str | None = None, return_objects: bool = False):
     """Run the full tautness analysis; returns the report dict.
 
     Exactly one of `graph` (a DualGraph) and `preset` (a name) must be
@@ -167,7 +166,7 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         write_matrix_text(matrix, export_path)
 
     # stage: ranks
-    proof = prove_rank_over_Q(matrix, primes, trials, seed)
+    proof = prove_rank_over_Q(matrix, primes)
     ranks, rank_q = proof.ranks, proof.rank_q
     _check(rank_q <= min(matrix.nrows, matrix.ncols),
            f"rank over Q {rank_q} exceeds min(rows, columns)")

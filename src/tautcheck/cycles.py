@@ -16,6 +16,10 @@ from .graph import (DualGraph, GraphError, intersection_matrix, is_connected,
                     is_negative_definite)
 from .linalg import next_prime
 
+# safety bound on the Laufer iterations; they terminate on negative-definite
+# graphs long before it
+_MAX_STEPS = 1_000_000
+
 
 class CyclesError(ValueError):
     """Raised for invalid cycle arguments or exhausted search budgets."""
@@ -43,7 +47,7 @@ def _check_cycle_arg(g: DualGraph, z: tuple[int, ...], name: str = "cycle"):
 # fundamental / anti-ample cycles
 
 
-def fundamental_cycle(g: DualGraph, max_steps: int = 1_000_000) -> tuple[int, ...]:
+def fundamental_cycle(g: DualGraph) -> tuple[int, ...]:
     """Smallest positive cycle with all intersection numbers <= 0.
 
     Computed by the standard Laufer iteration: start from all-ones; while
@@ -56,7 +60,7 @@ def fundamental_cycle(g: DualGraph, max_steps: int = 1_000_000) -> tuple[int, ..
         raise CyclesError("fundamental cycle needs a negative-definite graph")
     m = intersection_matrix(g)
     z = [1] * g.n
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         pair = _pairing(m, z)
         for i, v in enumerate(pair):
             if v > 0:
@@ -68,12 +72,12 @@ def fundamental_cycle(g: DualGraph, max_steps: int = 1_000_000) -> tuple[int, ..
                       "(is the graph negative definite?)")
 
 
-def anti_ample_cycle(g: DualGraph, max_steps: int = 1_000_000) -> tuple[int, ...]:
+def anti_ample_cycle(g: DualGraph) -> tuple[int, ...]:
     """Smallest cycle above the fundamental cycle pairing strictly
     negatively with every vertex.  Same iteration with a strict target."""
     m = intersection_matrix(g)
-    z = list(fundamental_cycle(g, max_steps))
-    for _ in range(max_steps):
+    z = list(fundamental_cycle(g))
+    for _ in range(_MAX_STEPS):
         pair = _pairing(m, z)
         for i, v in enumerate(pair):
             if v >= 0:
@@ -118,6 +122,8 @@ def make_coprime(g: DualGraph, z: tuple[int, ...], p: int) -> tuple[int, ...]:
         A prime, or 1 (no condition).
     """
     _check_cycle_arg(g, z)
+    if p < 1:
+        raise CyclesError(f"p must be >= 1, got {p}")
     if not is_anti_ample(g, z):
         raise CyclesError("make_coprime requires an anti-ample input cycle")
     if p == 1:
@@ -300,47 +306,34 @@ class MultiplicityPlan:
     j: int | None = None
 
 
-def significant_multiplicity(g: DualGraph, zbar: tuple[int, ...], p: int,
-                             mode: str = "paper") -> MultiplicityPlan:
+def significant_multiplicity_to_all(g: DualGraph, zbar: tuple[int, ...],
+                                    primes: list[int],
+                                    mode: str = "paper") -> MultiplicityPlan:
     """Choose the uniform multiplicity nu for the anti-ample cycle `zbar`.
 
     In ``paper`` mode nu = max(lambda + tau + 1, 2) with no coprimality
     condition.  In ``strict`` mode nu is the smallest value >= lambda +
-    tau + 1 coprime to p, additionally >= 2 when some coefficient of
-    `zbar` is 1.  p = 1 imposes no condition.
+    tau + 1 coprime to every prime in `primes` at once (taking the max of
+    per-prime answers would be wrong), additionally >= 2 when some
+    coefficient of `zbar` is 1.  A prime 1 imposes no condition.
     """
     if mode not in ("paper", "strict"):
         raise CyclesError(f"unknown mode {mode!r}")
+    if any(p < 1 for p in primes):
+        raise CyclesError(f"primes must be >= 1, got {list(primes)}")
     lam = vanishing_floor(g)
     tau, beta = greedy_tau(g, zbar)
-    lower = lam + tau + 1
+    nu = lam + tau + 1
     if mode == "paper":
-        nu = max(lower, 2)
+        nu = max(nu, 2)
     else:
         if any(c == 1 for c in zbar):
-            lower = max(lower, 2)
-        nu = lower
-        while p != 1 and math.gcd(nu, p) != 1:
+            nu = max(nu, 2)
+        q = math.prod(set(primes))
+        while math.gcd(nu, q) != 1:
             nu += 1
     return MultiplicityPlan(lambda_bound=lam, tau=tau, beta_sequence=beta,
                             nu=nu, mode=mode)
-
-
-def significant_multiplicity_to_all(g: DualGraph, zbar: tuple[int, ...],
-                                    primes: list[int],
-                                    mode: str = "paper") -> MultiplicityPlan:
-    """Like :func:`significant_multiplicity` but, in strict mode, coprime
-    to every prime in the candidate set simultaneously (taking the max of
-    per-prime answers would be wrong)."""
-    if mode == "paper":
-        return significant_multiplicity(g, zbar, 1, mode)
-    plan = significant_multiplicity(g, zbar, 1, "strict")
-    q = math.prod({p for p in primes if p != 1} or {1})
-    nu = plan.nu
-    while math.gcd(nu, q) != 1:
-        nu += 1
-    plan.nu = nu
-    return plan
 
 
 def choose_j(nu: int, n_max: int, primes: list[int]) -> int:

@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 _DEFAULT_SEED = 0x7A07
+_SAMPLED_PRIMES = 3
 _DENSE_CELL_BUDGET = 1 << 25
 _DENSE_ROW_SWITCH = 4096
 _DENSE_DENSITY_SWITCH = 0.2
@@ -172,14 +173,22 @@ def _densify_and_rank(rowd: dict[int, dict[int, int]], p: int) -> int:
     return _dense_rank_mod_p(a, p)
 
 
+def _dense_switch(m: int, n: int, nnz: int, dense_cell_budget: int) -> bool:
+    """Whether an m x n block with nnz entries is ranked densely: it fits
+    the cell budget and is either short or dense enough."""
+    cells = m * n
+    return 0 < cells <= dense_cell_budget and (
+        m <= _DENSE_ROW_SWITCH or nnz / cells > _DENSE_DENSITY_SWITCH)
+
+
 def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
                             vals: np.ndarray, p: int,
                             dense_cell_budget: int) -> int:
     """Deterministic column-driven Markowitz elimination over GF(p).
 
     Pivot choice: the column with fewest entries (lowest id on ties), in
-    it the row with fewest entries.  Every 64 pivots the active block is
-    re-checked against the dense-switch rule.
+    it the row with fewest entries.  After every 64 pivots the active
+    block is re-checked against the dense-switch rule.
     """
     rowd: dict[int, dict[int, int]] = {}
     colr: dict[int, set[int]] = {}
@@ -190,15 +199,11 @@ def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
     col_heap = [(len(rs), c) for c, rs in colr.items()]
     heapq.heapify(col_heap)
     rank = 0
-    steps = 0
     while colr:
-        if steps % 64 == 0:
-            m, n = len(rowd), len(colr)
-            cells = m * n
-            if cells and cells <= dense_cell_budget and (
-                    m <= _DENSE_ROW_SWITCH or nnz / cells > _DENSE_DENSITY_SWITCH):
-                return rank + _densify_and_rank(rowd, p)
-        steps += 1
+        # one pivot per pass, so rank counts the pivots taken
+        if rank and rank % 64 == 0 and _dense_switch(
+                len(rowd), len(colr), nnz, dense_cell_budget):
+            return rank + _densify_and_rank(rowd, p)
         # pop a valid (count, col) pair
         while True:
             cnt, c0 = heapq.heappop(col_heap)
@@ -277,9 +282,7 @@ def rank_mod_p(matrix, p: int, *,
     _, cols = np.unique(cols, return_inverse=True)
     m = int(rows.max()) + 1
     n = int(cols.max()) + 1
-    cells = m * n
-    if cells <= dense_cell_budget and (
-            m <= _DENSE_ROW_SWITCH or rows.size / cells > _DENSE_DENSITY_SWITCH):
+    if _dense_switch(m, n, int(rows.size), dense_cell_budget):
         a = np.zeros((m, n), dtype=np.int64)
         a[rows, cols] = vals
         return rank + _dense_rank_mod_p(a, p)
@@ -320,21 +323,20 @@ class RationalRank(NamedTuple):
     sampled_primes: list[int]         # the seeded 31-bit fallback primes
 
 
-def prove_rank_over_Q(matrix, candidates, trials: int = 3,
-                      seed: int = _DEFAULT_SEED) -> RationalRank:
+def prove_rank_over_Q(matrix, candidates) -> RationalRank:
     """Rank over Q from modular ranks, proved whenever one prime allows.
 
     rank mod p <= rank over Q <= min(rows, cols), so a prime whose rank
     reaches min(rows, cols) proves the rational rank.  The candidates
     are ranked first, together; the smallest one reaching full rank is
-    the certificate.  Otherwise the `trials` seeded 31-bit primes are
+    the certificate.  Otherwise the seeded 31-bit primes are
     ranked one at a time, stopping at the first that reaches full rank.
     If none does, `rank_q` is an unproved lower bound: it is exact unless
     every ranked prime divides the same invariant factor.
     """
     full = min(matrix.nrows, matrix.ncols)
     ranks = _rank_jobs(matrix, sorted(set(candidates)))
-    sampled = sample_rank_primes(trials, seed)
+    sampled = sample_rank_primes(_SAMPLED_PRIMES)
     proof = min((p for p, r in ranks.items() if r == full), default=None)
     for q in sampled:
         if proof is not None:
@@ -344,27 +346,3 @@ def prove_rank_over_Q(matrix, candidates, trials: int = 3,
         if ranks[q] == full:
             proof = q
     return RationalRank(ranks, max(ranks.values(), default=0), proof, sampled)
-
-
-def rank_over_Q(matrix, trials: int = 3, seed: int = _DEFAULT_SEED) -> int:
-    """Rational rank from the seeded 31-bit primes (`prove_rank_over_Q`
-    without candidates): exact once one of them reaches full rank, a
-    lower bound otherwise."""
-    return prove_rank_over_Q(matrix, (), trials, seed).rank_q
-
-
-def bad_primes(matrix, candidates: list[int], rank_q: int | None = None,
-               trials: int = 3, seed: int = _DEFAULT_SEED) -> list[int]:
-    """Candidate primes where the matrix drops rank compared to Q.
-
-    When `rank_q` is not supplied it comes from `prove_rank_over_Q` on
-    the candidates.  Only the candidates are tested; this is not a
-    complete bad-prime enumeration.
-    """
-    candidates = sorted(set(candidates))
-    if rank_q is None:
-        ranks, rank_q, _, _ = prove_rank_over_Q(matrix, candidates, trials,
-                                                seed)
-    else:
-        ranks = _rank_jobs(matrix, candidates)
-    return [p for p in candidates if ranks[p] < rank_q]

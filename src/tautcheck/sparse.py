@@ -172,26 +172,23 @@ class SparseIntMatrix:
 # text format
 
 
+def _text_lines(matrix: SparseIntMatrix):
+    """The line-based triple format: header, entries (1-based indices,
+    canonical row-major order), '0 0 0' terminator."""
+    yield f"{matrix.nrows} {matrix.ncols} M\n"
+    for r, c, v in matrix.entries():
+        yield f"{r + 1} {c + 1} {v}\n"
+    yield "0 0 0\n"
+
+
 def write_matrix_text(matrix: SparseIntMatrix, path: str) -> None:
-    """Write the matrix in the line-based triple format (1-based indices,
-    canonical row-major order, '0 0 0' terminator)."""
+    """Write the matrix to `path` in the triple format."""
     with open(path, "w") as f:
-        f.write(f"{matrix.nrows} {matrix.ncols} M\n")
-        buf: list[str] = []
-        for r, c, v in matrix.entries():
-            buf.append(f"{r + 1} {c + 1} {v}\n")
-            if len(buf) >= 65536:
-                f.write("".join(buf))
-                buf.clear()
-        buf.append("0 0 0\n")
-        f.write("".join(buf))
+        f.writelines(_text_lines(matrix))
 
 
 def matrix_to_text(matrix: SparseIntMatrix) -> str:
-    lines = [f"{matrix.nrows} {matrix.ncols} M"]
-    lines.extend(f"{r + 1} {c + 1} {v}" for r, c, v in matrix.entries())
-    lines.append("0 0 0")
-    return "\n".join(lines) + "\n"
+    return "".join(_text_lines(matrix))
 
 
 def matrix_from_text(text: str) -> SparseIntMatrix:

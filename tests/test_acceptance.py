@@ -19,7 +19,7 @@ from tautcheck.cycles import (anti_ample_cycle, choose_j, fundamental_cycle,
                               significant_multiplicity_to_all)
 from tautcheck.graph import (DualGraph, is_negative_definite, parse_graph,
                              preset_graph)
-from tautcheck.linalg import rank_mod_p, rank_over_Q
+from tautcheck.linalg import prove_rank_over_Q, rank_mod_p
 from tautcheck.plumbing import assemble_matrix, build_model
 from tautcheck.sparse import SparseIntMatrix
 
@@ -107,13 +107,13 @@ def test_criterion_04_rank_monotonicity_and_chain_tautness():
             assert res["h1"] == 0, (n, key)
             assert res["rank"] == rows
         # independent monotonicity check on the assembled matrix
-        rq = rank_over_Q(matrix)
+        rq = prove_rank_over_Q(matrix, ()).rank_q
         for p in (2, 3, 5, 7):
             assert rank_mod_p(matrix, p) <= rq
     # monotonicity on rank-deficient models as well
     for preset in ("D4", "E6"):
         _, _, matrix = analyze(preset=preset, return_objects=True)
-        rq = rank_over_Q(matrix)
+        rq = prove_rank_over_Q(matrix, ()).rank_q
         for p in (2, 3, 5, 7):
             assert rank_mod_p(matrix, p) <= rq
 

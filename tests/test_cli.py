@@ -18,6 +18,7 @@ import tautcheck.cli as cli
 import tautcheck.linalg as linalg
 from tautcheck import __version__
 from tautcheck.cli import analyze, main, render_text
+from tautcheck.cycles import CyclesError
 from tautcheck.graph import parse_graph, preset_graph, serialize_graph
 from tautcheck.linalg import LinalgError, rank_mod_p, sample_rank_primes
 from tautcheck.sparse import read_matrix_text
@@ -117,6 +118,12 @@ def test_analyze_strict_mode_plan():
     assert plan["nu"] == 5          # smallest multiplier >= 2 coprime to 6
     assert plan["j"] == 29          # next prime after nu * max coefficient
     assert set(r["results"]) == {"q", "p2", "p3"}
+
+
+def test_analyze_unknown_mode_rejected():
+    # it used to run as strict and report status "ok"
+    with pytest.raises(CyclesError):
+        analyze(preset="D4", mode="fast")
 
 
 def test_analyze_j_override_notes_and_rows():

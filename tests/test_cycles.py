@@ -17,7 +17,6 @@ from tautcheck.cycles import (
     is_anti_ample,
     make_coprime,
     make_coprime_to_all,
-    significant_multiplicity,
     significant_multiplicity_to_all,
     step_vanishing_check,
     vanishing_floor,
@@ -154,6 +153,14 @@ def test_make_coprime_rejects_non_anti_ample():
     g, _ = preset_graph("A3")
     with pytest.raises(CyclesError):
         make_coprime(g, (1, 1, 1), 2)
+
+
+def test_make_coprime_rejects_p_below_one():
+    """0 used to divide by zero and -3 was taken as 3."""
+    g, cyc = preset_graph("D4")
+    for p in (0, -3):
+        with pytest.raises(CyclesError):
+            make_coprime(g, cyc, p)
 
 
 def test_make_coprime_to_all_postconditions():
@@ -333,7 +340,7 @@ def test_exhaustive_tau_budget():
 
 def test_nu_default_mode_star():
     g, cyc = preset_graph("D4")
-    plan = significant_multiplicity(g, cyc, 1)
+    plan = significant_multiplicity_to_all(g, cyc, [1])
     assert isinstance(plan, MultiplicityPlan)
     assert (plan.lambda_bound, plan.tau, plan.nu) == (0, 1, 2)
     assert plan.mode == "paper"
@@ -341,20 +348,20 @@ def test_nu_default_mode_star():
 
 def test_nu_strict_mode_avoids_the_prime():
     g, cyc = preset_graph("D4")
-    plan = significant_multiplicity(g, cyc, 2, mode="strict")
+    plan = significant_multiplicity_to_all(g, cyc, [2], mode="strict")
     assert plan.nu == 3
-    plan = significant_multiplicity(g, cyc, 3, mode="strict")
+    plan = significant_multiplicity_to_all(g, cyc, [3], mode="strict")
     assert plan.nu == 2
-    plan = significant_multiplicity(g, cyc, 1, mode="strict")
+    plan = significant_multiplicity_to_all(g, cyc, [1], mode="strict")
     assert plan.nu == 2
 
 
 def test_nu_unit_coefficient_clause():
     g, _ = preset_graph("A1")
-    plan = significant_multiplicity(g, (1,), 1, mode="strict")
+    plan = significant_multiplicity_to_all(g, (1,), [1], mode="strict")
     assert plan.nu == 2
     # paper mode has the floor of 2 built in
-    plan = significant_multiplicity(g, (1,), 1, mode="paper")
+    plan = significant_multiplicity_to_all(g, (1,), [1], mode="paper")
     assert plan.nu == 2
 
 
@@ -370,7 +377,18 @@ def test_nu_strict_against_prime_set():
 def test_nu_rejects_unknown_mode():
     g, cyc = preset_graph("D4")
     with pytest.raises(CyclesError):
-        significant_multiplicity(g, cyc, 2, mode="fast")
+        significant_multiplicity_to_all(g, cyc, [2], mode="fast")
+    # it used to run as strict when given a set of primes
+    with pytest.raises(CyclesError):
+        significant_multiplicity_to_all(g, cyc, [2, 3], mode="fast")
+
+
+def test_nu_rejects_primes_below_one():
+    # in strict mode a 0 made the coprimality search loop forever
+    g, cyc = preset_graph("D4")
+    for primes in ([0], [2, -3]):
+        with pytest.raises(CyclesError):
+            significant_multiplicity_to_all(g, cyc, primes, mode="strict")
 
 
 # ---------------------------------------------------------------------------

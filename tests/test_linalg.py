@@ -1,5 +1,5 @@
-"""Exact rank computations: modular ranks, the rational rank proved from
-them, and bad-prime detection.
+"""Exact rank computations: modular ranks and the rational rank proved
+from them, with the bad primes it implies.
 
 Oracles here are written independently of the library: plain Gaussian
 elimination over GF(p) and Fraction elimination over the rationals.
@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 import tautcheck.linalg as linalg
 from tautcheck.linalg import (
     LinalgError,
-    bad_primes,
     is_probable_prime,
     next_prime,
     prove_rank_over_Q,
     rank_mod_p,
-    rank_over_Q,
     sample_rank_primes,
 )
 from tautcheck.sparse import SparseIntMatrix
@@ -200,9 +198,11 @@ def test_rank_peeled_cascade():
 
 
 def test_rank_over_q_examples():
-    assert rank_over_Q(from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-    assert rank_over_Q(from_dense([[2, 0], [0, 3]])) == 2
-    assert rank_over_Q(SparseIntMatrix.empty(3, 3)) == 0
+    # without candidates, the rational rank comes from the seeded primes
+    for dense, rank in (([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+                        ([[2, 0], [0, 3]], 2)):
+        assert prove_rank_over_Q(from_dense(dense), ()).rank_q == rank
+    assert prove_rank_over_Q(SparseIntMatrix.empty(3, 3), ()).rank_q == 0
 
 
 def test_rank_over_q_agreement_with_fraction_oracle():
@@ -210,7 +210,7 @@ def test_rank_over_q_agreement_with_fraction_oracle():
     for _ in range(25):
         dense = random_dense(rng, max_dim=12, density=0.4)
         m = from_dense(dense)
-        assert rank_over_Q(m) == oracle_rank_over_Q(dense)
+        assert prove_rank_over_Q(m, ()).rank_q == oracle_rank_over_Q(dense)
 
 
 def test_modular_rank_never_exceeds_rational_rank():
@@ -228,17 +228,14 @@ def test_modular_rank_never_exceeds_rational_rank():
 
 
 def test_bad_primes_examples():
+    def bad(m, candidates):
+        proof = prove_rank_over_Q(m, candidates)
+        return [p for p in candidates if proof.ranks[p] < proof.rank_q]
     m = from_dense([[2, 0], [0, 6]])
-    assert bad_primes(m, [2, 3, 5, 7]) == [2, 3]
+    assert bad(m, [2, 3, 5, 7]) == [2, 3]
+    assert bad(m, [5, 7]) == []
     ident = from_dense([[1, 0], [0, 1]])
-    assert bad_primes(ident, [2, 3, 5, 7]) == []
-
-
-def test_bad_primes_with_supplied_rational_rank():
-    m = from_dense([[2, 0], [0, 6]])
-    assert bad_primes(m, [2, 3, 5, 7], rank_q=2) == [2, 3]
-    # a deliberately wrong rank_q is honored as given
-    assert bad_primes(m, [5, 7], rank_q=1) == []
+    assert bad(ident, [2, 3, 5, 7]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +268,7 @@ def test_modular_rank_survey_reports_primes():
     # without candidates only the seeded primes are ranked
     m = from_dense([[2, 0], [0, 3]])
     proof = prove_rank_over_Q(m, [])
-    assert proof.rank_q == rank_over_Q(m) == 2
+    assert proof.rank_q == 2
     assert proof.sampled_primes == sample_rank_primes(3)
 
 

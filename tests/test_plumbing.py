@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautcheck.graph import parse_graph, preset_graph
-from tautcheck.linalg import rank_mod_p, rank_over_Q
+from tautcheck.linalg import prove_rank_over_Q, rank_mod_p
 from tautcheck.plumbing import (
     FAMILY_DX,
     FAMILY_DX_EXTRA,
@@ -388,7 +388,8 @@ def test_zero_column_drop_preserves_rank():
     assert full.ncols == 906 and kept.ncols == 720
     for p in (2, 3, 7):
         assert rank_mod_p(kept, p) == rank_mod_p(full, p)
-    assert rank_over_Q(kept) == rank_over_Q(full)
+    assert (prove_rank_over_Q(kept, ()).rank_q
+            == prove_rank_over_Q(full, ()).rank_q)
 
 
 def test_unshifted_points_have_small_entries():
