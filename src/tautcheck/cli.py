@@ -20,9 +20,8 @@ from . import __version__, linalg
 from .cycles import (CyclesError, anti_ample_cycle, choose_j,
                      fundamental_cycle, is_anti_ample, make_coprime_to_all,
                      significant_multiplicity_to_all)
-from .graph import (DualGraph, GraphError, is_connected,
-                    is_negative_definite, parse_graph, preset_graph,
-                    potential_tautness_violations)
+from .graph import (DualGraph, GraphError, admissibility_violations,
+                    parse_graph, preset_graph)
 from .linalg import LinalgError, prove_rank_over_Q
 from .plumbing import (PlumbingError, assemble_matrix, build_model,
                        estimate_assembly)
@@ -94,20 +93,15 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     if not primes:
         raise ValueError("need at least one candidate prime")
     for p in primes:
-        if not linalg.is_probable_prime(p):
-            raise ValueError(f"candidate characteristic {p} is not prime")
+        if not linalg.is_valid_modulus(p):
+            why = ("is not below 2^31" if linalg.is_probable_prime(p)
+                   else "is not prime")
+            raise ValueError(f"candidate characteristic {p} {why}")
     base = {"tool": "tautcheck", "version": __version__,
             "graph": _graph_summary(g, label)}
 
     # stage: combinatorial checks
-    reasons = []
-    if g.n == 0:
-        reasons.append("graph has no vertices")
-    if g.n and not is_connected(g):
-        reasons.append("graph is not connected")
-    if g.n and not is_negative_definite(g):
-        reasons.append("intersection matrix is not negative definite")
-    reasons.extend(potential_tautness_violations(g))
+    reasons = admissibility_violations(g)
     if reasons:
         report = _refusal(base, "graph-checks", reasons)
         return (report, None, None) if return_objects else report
@@ -133,7 +127,6 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     if j is not None and j_used != j_auto:
         notes.append(f"j overridden to {j_used}; automatic choice would be "
                      f"{j_auto}")
-    plan.j = j_used
 
     # stage: plumbing model
     try:

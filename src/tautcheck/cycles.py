@@ -47,6 +47,21 @@ def _check_cycle_arg(g: DualGraph, z: tuple[int, ...], name: str = "cycle"):
 # fundamental / anti-ample cycles
 
 
+def _laufer(m: list[list[int]], z: list[int], limit: int,
+            what: str) -> tuple[int, ...]:
+    """Laufer's iteration from `z`: while some vertex pairs with the
+    cycle above `limit`, bump the lowest-index such vertex."""
+    for _ in range(_MAX_STEPS):
+        for i, v in enumerate(_pairing(m, z)):
+            if v > limit:
+                z[i] += 1
+                break
+        else:
+            return tuple(z)
+    raise CyclesError(f"{what} iteration did not terminate "
+                      "(is the graph negative definite?)")
+
+
 def fundamental_cycle(g: DualGraph) -> tuple[int, ...]:
     """Smallest positive cycle with all intersection numbers <= 0.
 
@@ -58,35 +73,14 @@ def fundamental_cycle(g: DualGraph) -> tuple[int, ...]:
         raise CyclesError("fundamental cycle needs a connected graph")
     if not is_negative_definite(g):
         raise CyclesError("fundamental cycle needs a negative-definite graph")
-    m = intersection_matrix(g)
-    z = [1] * g.n
-    for _ in range(_MAX_STEPS):
-        pair = _pairing(m, z)
-        for i, v in enumerate(pair):
-            if v > 0:
-                z[i] += 1
-                break
-        else:
-            return tuple(z)
-    raise CyclesError("fundamental cycle iteration did not terminate "
-                      "(is the graph negative definite?)")
+    return _laufer(intersection_matrix(g), [1] * g.n, 0, "fundamental cycle")
 
 
 def anti_ample_cycle(g: DualGraph) -> tuple[int, ...]:
     """Smallest cycle above the fundamental cycle pairing strictly
     negatively with every vertex.  Same iteration with a strict target."""
-    m = intersection_matrix(g)
-    z = list(fundamental_cycle(g))
-    for _ in range(_MAX_STEPS):
-        pair = _pairing(m, z)
-        for i, v in enumerate(pair):
-            if v >= 0:
-                z[i] += 1
-                break
-        else:
-            return tuple(z)
-    raise CyclesError("anti-ample iteration did not terminate "
-                      "(is the graph negative definite?)")
+    return _laufer(intersection_matrix(g), list(fundamental_cycle(g)), -1,
+                   "anti-ample")
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +290,13 @@ def exhaustive_tau_min(g: DualGraph, zbar: tuple[int, ...],
 
 @dataclass
 class MultiplicityPlan:
-    """The twist plan: bounds, build sequence, chosen multiplicity and j."""
+    """The twist plan: bounds, build sequence and chosen multiplicity."""
 
     lambda_bound: int
     tau: int
     beta_sequence: list[int] = field(repr=False)
     nu: int = 0
     mode: str = "paper"
-    j: int | None = None
 
 
 def significant_multiplicity_to_all(g: DualGraph, zbar: tuple[int, ...],

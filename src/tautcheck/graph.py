@@ -257,6 +257,20 @@ def is_potentially_taut(g: DualGraph) -> bool:
     return not potential_tautness_violations(g)
 
 
+def admissibility_violations(g: DualGraph) -> list[str]:
+    """Why the analysis must refuse the graph: no vertices, not
+    connected, not negative definite, or the genus/valence violations.
+    Empty when the graph can be analyzed."""
+    if g.n == 0:
+        return ["graph has no vertices"]
+    reasons = []
+    if not is_connected(g):
+        reasons.append("graph is not connected")
+    if not is_negative_definite(g):
+        reasons.append("intersection matrix is not negative definite")
+    return reasons + potential_tautness_violations(g)
+
+
 def potential_tautness_violations(g: DualGraph) -> list[str]:
     """Human-readable reasons why the graph fails the genus/valence test."""
     reasons = []

@@ -68,6 +68,11 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def is_valid_modulus(p: int) -> bool:
+    """A prime below 2^31: the moduli `rank_mod_p` works in."""
+    return p < 1 << 31 and is_probable_prime(p)
+
+
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than n."""
     m = n + 1
@@ -271,7 +276,7 @@ def rank_mod_p(matrix, p: int, *,
     p : int
         A prime below 2^31.
     """
-    if p < 2 or p >= 1 << 31 or not is_probable_prime(p):
+    if not is_valid_modulus(p):
         raise LinalgError(f"modulus {p} is not a prime below 2^31")
     rows, cols, vals = matrix.arrays_mod(p)
     rank, rows, cols, vals = _peel_mod_p(matrix.nrows, matrix.ncols,

@@ -14,9 +14,9 @@ Geometry conventions, per vertex l with nu_l = -selfint(l):
 
 Rows of the restriction matrix live at intersection points, written in
 the chart of the smaller-index endpoint (the *canonical side*): the
-window spans the monomials xbar^s y^t d/dxbar (1 <= s < n_other,
-0 <= t < n_side) and xbar^u y^v d/dy (0 <= u < n_other,
-1 <= v < n_side), n_* the vertex multiplicities.  Columns are generator
+window spans the monomials xbar^s y^t d/dxbar (1 <= s < j, 0 <= t < j)
+and xbar^u y^v d/dy (0 <= u < j, 1 <= v < j), j the uniform vertex
+multiplicity, so every point has 2j(j - 1) rows.  Columns are generator
 sections of the twisted tangent sheaf of each vertex; entries are the
 exact integer coordinates of their expansions, which all have the form
 base * C(n, k) with base one of +-1, +-nu_l.
@@ -31,8 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import (DualGraph, intersection_matrix, is_connected,
-                    is_negative_definite, is_potentially_taut)
+from .graph import DualGraph, admissibility_violations
 from .linalg import is_probable_prime
 from .sparse import SparseIntMatrix
 
@@ -47,7 +46,6 @@ KIND_DY = "dy"
 FAMILY_DY = "dy"
 FAMILY_DX = "dx"
 FAMILY_DX_EXTRA = "dx_extra"
-_FAMILY_ORDER = (FAMILY_DY, FAMILY_DX, FAMILY_DX_EXTRA)
 
 
 class PlumbingError(ValueError):
@@ -66,8 +64,6 @@ class IntersectionPoint:
     slot_side: str
     slot_other: str
     row_offset: int = 0
-    dx_rows: int = 0
-    dy_rows: int = 0
 
 
 @dataclass
@@ -104,14 +100,11 @@ class PlumbingModel:
 
     graph: DualGraph
     j: int
-    primes: list[int]
     nu: list[int]
-    mult: list[int]
     incident: list[list[int]]         # per vertex: edge indices, slot order
     slots: list[dict[int, str]]       # per vertex: edge index -> slot
     points: list[IntersectionPoint] = field(default_factory=list)
     row_count: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def occupancy(self, l: int) -> frozenset[str]:
         return frozenset(self.slots[l].values())
@@ -146,13 +139,9 @@ def build_model(g: DualGraph, j: int, primes: list[int],
         valence.  Any assignment of distinct slots is accepted (the rank
         is invariant under permutations; the matrix is not).
     """
-    if not is_connected(g):
-        raise PlumbingError("graph is not connected")
-    if not is_negative_definite(g):
-        raise PlumbingError("intersection matrix is not negative definite")
-    if not is_potentially_taut(g):
-        raise PlumbingError("graph is not potentially taut "
-                            "(needs all genus 0 and valence <= 3)")
+    reasons = admissibility_violations(g)
+    if reasons:
+        raise PlumbingError("; ".join(reasons))
     if not is_probable_prime(j):
         raise PlumbingError(f"multiplicity j = {j} must be prime")
     for p in primes:
@@ -185,50 +174,38 @@ def build_model(g: DualGraph, j: int, primes: list[int],
         else:
             chosen = list(_SLOT_ORDER[:len(incident[l])])
         slots.append(dict(zip(incident[l], chosen)))
-    model = PlumbingModel(graph=g, j=j, primes=sorted(set(primes)),
+    model = PlumbingModel(graph=g, j=j,
                           nu=[-g.data[v].selfint for v in g.ids],
-                          mult=[j] * n, incident=incident, slots=slots)
+                          incident=incident, slots=slots)
     for ei, (a, b) in enumerate(edge_idx):
         side, other = (a, b) if a < b else (b, a)
         model.points.append(IntersectionPoint(
             index=ei, va=a, vb=b, side=side, other=other,
-            slot_side=slots[side][ei], slot_other=slots[other][ei]))
-    layout, total = _point_layout(model, model.mult)
-    for pt, (off, dxr, dyr) in zip(model.points, layout):
-        pt.row_offset, pt.dx_rows, pt.dy_rows = off, dxr, dyr
-    model.row_count = total
+            slot_side=slots[side][ei], slot_other=slots[other][ei],
+            row_offset=ei * _point_rows(j)))
+    model.row_count = len(edge_idx) * _point_rows(j)
     return model
 
 
-def _point_layout(model: PlumbingModel,
-                  w: list[int]) -> tuple[list[tuple[int, int, int]], int]:
-    """Row offsets and (dx, dy) window sizes per point, for per-vertex
-    window bounds `w` (the vertex multiplicities, unless a test enlarges
-    the window)."""
-    out = []
-    off = 0
-    for pt in model.points:
-        nc, no = w[pt.side], w[pt.other]
-        dxr = (no - 1) * nc
-        dyr = no * (nc - 1)
-        out.append((off, dxr, dyr))
-        off += dxr + dyr
-    return out, off
+def _point_rows(w: int) -> int:
+    """Rows of one point for window size `w`: (w - 1)w dx rows and as
+    many dy rows."""
+    return 2 * w * (w - 1)
 
 
 def row_space(model: PlumbingModel) -> list[RowIndex]:
     """All rows in canonical order.  Materializes one object per row;
     intended for inspection and tests, not for the big workloads."""
     rows: list[RowIndex] = []
+    n = model.j
     for pt in model.points:
-        nc, no = model.mult[pt.side], model.mult[pt.other]
         idx = pt.row_offset
-        for s in range(1, no):
-            for t in range(nc):
+        for s in range(1, n):
+            for t in range(n):
                 rows.append(RowIndex(idx, pt.index, KIND_DX, s, t))
                 idx += 1
-        for u in range(no):
-            for v in range(1, nc):
+        for u in range(n):
+            for v in range(1, n):
                 rows.append(RowIndex(idx, pt.index, KIND_DY, u, v))
                 idx += 1
     return rows
@@ -289,8 +266,7 @@ class _ColumnBatch:
     b: np.ndarray
 
 
-def _candidate_columns(model: PlumbingModel,
-                       b_cap: list[int]) -> list[_ColumnBatch]:
+def _candidate_columns(model: PlumbingModel, cap: int) -> list[_ColumnBatch]:
     """Per (vertex, family) parameter grids, in canonical column order
     (vertex, then family dy < dx < dx_extra, then b, then a)."""
     batches: list[_ColumnBatch] = []
@@ -300,7 +276,6 @@ def _candidate_columns(model: PlumbingModel,
         occ = model.occupancy(l)
         vanish_one = SLOT1 in occ
         a_lo = 1 if SLOT0 in occ else 0
-        cap = b_cap[l]
         # dy: 1 <= b < cap, 0 <= a <= nu*(b-1)
         bs = np.arange(1, cap, dtype=np.int64)
         lens = nu * (bs - 1) + 1
@@ -326,37 +301,37 @@ def _candidate_columns(model: PlumbingModel,
     return batches
 
 
-def _point_context(model: PlumbingModel, l: int, ei: int,
-                   w: list[int]) -> tuple[int, bool, bool, int, int]:
-    """(chart, shifted, swap, n_self, n_arm) for the expansion of vertex-l
-    sections at edge ei's point."""
-    pt = model.points[ei]
+def _column_count(batches: list[_ColumnBatch]) -> int:
+    return (batches[-1].col_start + batches[-1].a.size) if batches else 0
+
+
+def _point_context(model: PlumbingModel, l: int,
+                   ei: int) -> tuple[int, bool, bool]:
+    """(chart, shifted, swap) for the expansion of vertex-l sections at
+    edge ei's point."""
     slot = model.slots[l][ei]
-    return (1 if slot == SLOTINF else 0, slot == SLOT1, pt.side != l,
-            w[l], w[pt.vb if pt.va == l else pt.va])
+    return (1 if slot == SLOTINF else 0, slot == SLOT1,
+            model.points[ei].side != l)
 
 
 def _row_ids(xe: np.ndarray, ye: np.ndarray, kind: str, swap: bool,
-             n_self: int, n_arm: int, offset: int) -> np.ndarray:
-    """Absolute row ids for side-l monomials (kind, xe, ye).  When the
-    canonical side is the neighbor, the cross-gluing swaps the kind and
-    the exponents."""
-    if not swap:
-        if kind == KIND_DX:
-            return offset + (xe - 1) * n_self + ye
-        return offset + (n_arm - 1) * n_self + xe * (n_self - 1) + (ye - 1)
+             n: int, offset: int) -> np.ndarray:
+    """Absolute row ids for side-l monomials (kind, xe, ye) in a point
+    window of size `n`.  When the canonical side is the neighbor, the
+    cross-gluing swaps the kind and the exponents."""
+    if swap:
+        kind = KIND_DY if kind == KIND_DX else KIND_DX
+        xe, ye = ye, xe
     if kind == KIND_DX:
-        # becomes a dy row (u = ye, v = xe) in the neighbor's coordinates
-        return offset + (n_self - 1) * n_arm + ye * (n_arm - 1) + (xe - 1)
-    # dy term becomes a dx row (s = ye, t = xe)
-    return offset + (ye - 1) * n_arm + xe
+        return offset + (xe - 1) * n + ye
+    return offset + (n - 1) * n + xe * (n - 1) + (ye - 1)
 
 
 def _window_mask(kind: str, xe: np.ndarray, ye: np.ndarray,
-                 n_self: int, n_arm: int) -> np.ndarray:
+                 n: int) -> np.ndarray:
     xlo = 1 if kind == KIND_DX else 0
     ylo = 1 if kind == KIND_DY else 0
-    return (xe >= xlo) & (xe < n_arm) & (ye >= ylo) & (ye < n_self)
+    return (xe >= xlo) & (xe < n) & (ye >= ylo) & (ye < n)
 
 
 class _Runs(NamedTuple):
@@ -373,37 +348,36 @@ class _Runs(NamedTuple):
     bin_n: np.ndarray | int
     bin_k: np.ndarray | int
     coef: int
-    where: tuple                     # (kind, swap, n_self, n_arm, offset)
+    where: tuple                     # (kind, swap, n, offset)
 
 
-def _entry_runs(model: PlumbingModel, w: list[int],
-                batches: list[_ColumnBatch]):
-    """Every matrix entry for row windows `w`, walked once per (column
-    batch, incident point, chart term) and yielded as `_Runs` blocks.
-    An unshifted term gives runs of length 0 or 1 with factor C(0, 0)."""
-    layout, _ = _point_layout(model, w)
+def _entry_runs(model: PlumbingModel, n: int, batches: list[_ColumnBatch]):
+    """Every matrix entry for point windows of size `n`, walked once per
+    (column batch, incident point, chart term) and yielded as `_Runs`
+    blocks.  An unshifted term gives runs of length 0 or 1 with factor
+    C(0, 0)."""
     for batch in batches:
         l = batch.vertex
         for ei in model.incident[l]:
-            chart, shifted, swap, n_self, n_arm = \
-                _point_context(model, l, ei, w)
+            chart, shifted, swap = _point_context(model, l, ei)
+            offset = ei * _point_rows(n)
             for coef, xa, xb, xc, e, yoff, kind in \
                     _terms(batch.family, batch.vanish_one, model.nu[l], chart):
                 xe = xa * batch.a + xb * batch.b + xc
                 ye = batch.b + yoff
-                where = (kind, swap, n_self, n_arm, layout[ei][0])
+                where = (kind, swap, n, offset)
                 if not shifted:
                     # xbar^xe (xbar - 1)^e, one monomial per piece
                     for c, x in (((coef, xe),) if e == 0 else
                                  ((coef, xe + 1), (-coef, xe))):
-                        lens = _window_mask(kind, x, ye, n_self, n_arm)
+                        lens = _window_mask(kind, x, ye, n)
                         yield _Runs(batch.col_start, lens, x, ye, 0, 0, c, where)
                     continue
                 # (xbar+1)^xe xbar^e -> sum_k C(xe, k-e) xbar^k, k >= klo
                 klo = max(e, 1 if kind == KIND_DX else 0)
                 ylo = 1 if kind == KIND_DY else 0
-                lens = np.maximum(np.minimum(xe + e, n_arm - 1) - klo + 1, 0)
-                lens *= (ye >= ylo) & (ye < n_self)
+                lens = np.maximum(np.minimum(xe + e, n - 1) - klo + 1, 0)
+                lens *= (ye >= ylo) & (ye < n)
                 yield _Runs(batch.col_start, lens, klo, ye, xe, klo - e, coef,
                             where)
 
@@ -422,21 +396,12 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True,
     entry arrays once for their total length and fills them; never
     materializes a dense row.  All-zero candidate columns are dropped
     unless `drop_zero_columns` is false.  `window` and `b_cap` override
-    the row window and the generator b-range (used by the
-    truncation-soundness tests); by default both equal the vertex
-    multiplicities.
-
-    The result is cached on the model for the default arguments.
+    the point window size and the generator b-range (used by the
+    truncation-soundness tests); by default both equal j.
     """
-    key = (drop_zero_columns, window, b_cap)
-    cached = model._cache.get(key)
-    if cached is not None:
-        return cached[0]
-    w = [window if window is not None else m for m in model.mult]
-    caps = [b_cap if b_cap is not None else m for m in model.mult]
-    _, nrows = _point_layout(model, w)
-    batches = _candidate_columns(model, caps)
-    total_cols = (batches[-1].col_start + batches[-1].a.size) if batches else 0
+    w = model.j if window is None else window
+    batches = _candidate_columns(model, model.j if b_cap is None else b_cap)
+    ncols = _column_count(batches)
     runs = [(run, n) for run in _entry_runs(model, w, batches)
             if (n := int(run.lens.sum()))]
     nnz = sum(n for _, n in runs)
@@ -457,44 +422,33 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True,
     del runs                 # freed before the matrix sorts its entries
     if drop_zero_columns:
         # a bitmap of the used columns, not a sort of all entries
-        seen = np.zeros(total_cols, dtype=bool)
+        seen = np.zeros(ncols, dtype=bool)
         seen[col] = True
-        present = np.flatnonzero(seen)
         col = (np.cumsum(seen) - 1)[col]
-        ncols = int(present.size)
-    else:
-        present = None
-        ncols = total_cols
-    matrix = SparseIntMatrix(nrows, ncols, row, col, base, bin_n, bin_k)
-    # column descriptors are materialized lazily by enumerate_generators
-    model._cache[key] = (matrix, batches, present)
-    return matrix
+        ncols = int(np.count_nonzero(seen))
+    return SparseIntMatrix(len(model.points) * _point_rows(w), ncols,
+                           row, col, base, bin_n, bin_k)
 
 
 def enumerate_generators(model: PlumbingModel,
                          drop_zero_columns: bool = True
                          ) -> list[GeneratorColumn]:
-    """The matrix columns (post zero-column drop), canonical order."""
-    key = (drop_zero_columns, None, None)
-    if key not in model._cache:
-        assemble_matrix(model, drop_zero_columns=drop_zero_columns)
-    ckey = ("columns", drop_zero_columns)
-    if ckey not in model._cache:
-        _, batches, present = model._cache[key]
-        starts = [b.col_start for b in batches]
-        columns: list[GeneratorColumn] = []
-        if present is not None:
-            ids = present.tolist()
-        else:
-            ids = range(sum(int(b.a.size) for b in batches))
-        for new_id, old in enumerate(ids):
-            bi = bisect.bisect_right(starts, old) - 1
-            b = batches[bi]
-            k = old - b.col_start
-            columns.append(GeneratorColumn(new_id, b.vertex, b.family,
-                                           int(b.a[k]), int(b.b[k])))
-        model._cache[ckey] = columns
-    return model._cache[ckey]
+    """The matrix columns (post zero-column drop), canonical order.  The
+    drop assembles the matrix to find the used columns."""
+    batches = _candidate_columns(model, model.j)
+    starts = [b.col_start for b in batches]
+    if drop_zero_columns:
+        full = assemble_matrix(model, drop_zero_columns=False)
+        ids = np.unique(full.col).tolist()
+    else:
+        ids = range(_column_count(batches))
+    columns: list[GeneratorColumn] = []
+    for new_id, old in enumerate(ids):
+        b = batches[bisect.bisect_right(starts, old) - 1]
+        k = old - b.col_start
+        columns.append(GeneratorColumn(new_id, b.vertex, b.family,
+                                       int(b.a[k]), int(b.b[k])))
+    return columns
 
 
 def expand_at_point(col: GeneratorColumn, pt: IntersectionPoint,
@@ -519,16 +473,14 @@ def expand_at_point(col: GeneratorColumn, pt: IntersectionPoint,
         raise PlumbingError(f"point {pt.index} is not incident to vertex "
                             f"{l} or its neighbors")
     nu = model.nu[l]
-    chart, shifted, swap, n_self, n_arm = \
-        _point_context(model, l, pt.index, model.mult)
+    chart, shifted, swap = _point_context(model, l, pt.index)
     vanish_one = SLOT1 in model.occupancy(l)
     out: dict[tuple[str, int, int], int] = {}
 
     def put(kind, xe, ye, val):
         if val == 0:
             return
-        if not bool(_window_mask(kind, np.int64(xe), np.int64(ye),
-                                 n_self, n_arm)):
+        if not bool(_window_mask(kind, np.int64(xe), np.int64(ye), model.j)):
             return
         if not swap:
             key = (kind, xe, ye)
@@ -561,13 +513,12 @@ def estimate_assembly(model: PlumbingModel) -> dict:
     """Exact entry count and a memory estimate without materializing the
     entry arrays.  The count sums the run lengths `assemble_matrix`
     fills (no additive cancellation occurs), so it is the assembled nnz."""
-    batches = _candidate_columns(model, model.mult)
+    batches = _candidate_columns(model, model.j)
     nnz = sum(int(run.lens.sum())
-              for run in _entry_runs(model, model.mult, batches))
-    ncand = (batches[-1].col_start + batches[-1].a.size) if batches else 0
+              for run in _entry_runs(model, model.j, batches))
     return {
         "rows": model.row_count,
-        "candidate_columns": ncand,
+        "candidate_columns": _column_count(batches),
         "points": len(model.points),
         "nnz": nnz,
         "entry_bytes": nnz * 32,

@@ -21,6 +21,7 @@ from tautcheck.cli import analyze, main, render_text
 from tautcheck.cycles import CyclesError
 from tautcheck.graph import parse_graph, preset_graph, serialize_graph
 from tautcheck.linalg import LinalgError, rank_mod_p, sample_rank_primes
+from tautcheck.plumbing import PlumbingError, build_model
 from tautcheck.sparse import read_matrix_text
 
 STAR_H1 = {"q": 0, "p2": 1, "p3": 0, "p5": 0, "p7": 0}
@@ -207,7 +208,7 @@ def test_analyze_mem_cap_refusal():
 
 def test_analyze_return_objects():
     r, model, matrix = analyze(preset="D4", return_objects=True)
-    assert model.mult == [11, 11, 11, 11]
+    assert model.j == 11
     assert matrix.nrows == r["model"]["rows"]
     assert matrix.nnz == r["model"]["nnz"]
 
@@ -215,9 +216,20 @@ def test_analyze_return_objects():
 # ---------------------------------------------------------------------------
 # analyze(): refusals from graph checks
 
+REFUSED_GRAPHS = {
+    "positive_genus": "vertex a genus=1 selfint=-2\n",
+    "high_valence": "vertex c genus=0 selfint=-5\n" + "".join(
+        f"vertex l{k} genus=0 selfint=-2\nedge c l{k}\n" for k in range(4)),
+    "disconnected": ("vertex a genus=0 selfint=-2\n"
+                     "vertex b genus=0 selfint=-2\n"),
+    "not_negative_definite": ("vertex a genus=0 selfint=-2\n"
+                              "vertex b genus=0 selfint=-2\n"
+                              "edge a b\nedge a b\n"),
+}
+
 
 def test_refusal_positive_genus():
-    g = parse_graph("vertex a genus=1 selfint=-2\n")
+    g = parse_graph(REFUSED_GRAPHS["positive_genus"])
     r = analyze(graph=g)
     assert r["status"] == "refused"
     assert r["stage"] == "graph-checks"
@@ -225,31 +237,34 @@ def test_refusal_positive_genus():
 
 
 def test_refusal_high_valence():
-    text = "vertex c genus=0 selfint=-5\n"
-    for k in range(4):
-        text += f"vertex l{k} genus=0 selfint=-2\nedge c l{k}\n"
-    r = analyze(graph=parse_graph(text))
+    r = analyze(graph=parse_graph(REFUSED_GRAPHS["high_valence"]))
     assert r["status"] == "refused"
     assert any("valence 4" in s for s in r["reasons"])
 
 
 def test_refusal_disconnected():
-    g = parse_graph("vertex a genus=0 selfint=-2\n"
-                    "vertex b genus=0 selfint=-2\n")
+    g = parse_graph(REFUSED_GRAPHS["disconnected"])
     r = analyze(graph=g)
     assert r["status"] == "refused"
     assert any("not connected" in s for s in r["reasons"])
 
 
 def test_refusal_potentially_taut_but_not_negative_definite():
-    g = parse_graph("vertex a genus=0 selfint=-2\n"
-                    "vertex b genus=0 selfint=-2\n"
-                    "edge a b\nedge a b\n")
+    g = parse_graph(REFUSED_GRAPHS["not_negative_definite"])
     r = analyze(graph=g)
     assert r["status"] == "refused"
     assert any("negative definite" in s for s in r["reasons"])
     text = render_text(r)
     assert "refused" in text and "negative definite" in text
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_GRAPHS))
+def test_build_model_refuses_with_the_graph_check_reasons(name):
+    g = parse_graph(REFUSED_GRAPHS[name])
+    reasons = analyze(graph=g)["reasons"]
+    with pytest.raises(PlumbingError) as exc:
+        build_model(g, 11, [2, 3, 5, 7])
+    assert str(exc.value) == "; ".join(reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +335,21 @@ def test_main_bad_primes_argument_rejected(capsys):
 
 def test_main_non_prime_candidate_errors_at_once(tmp_path):
     """Rejected before the cycles stage: on a graph file the coprime
-    repair of the computed cycle used to hang on a candidate 0."""
+    repair of the computed cycle used to hang on a candidate 0, and a
+    prime of 2^31 or more reached assembly with j above 2^31."""
     path = tmp_path / "d4.txt"
     path.write_text(serialize_graph(preset_graph("D4")[0]))
     env = {**os.environ,
            "PYTHONPATH": str(Path(tautcheck.__file__).resolve().parents[1])}
-    for primes in ("0", "2,4"):
+    for primes, why in (("0", "is not prime"), ("2,4", "is not prime"),
+                        ("2147483659", "is not below 2^31")):
         proc = subprocess.run(
             [sys.executable, "-m", "tautcheck.cli", "analyze", "--graph",
              str(path), f"--primes={primes}"],
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 1, primes
         assert proc.stdout == ""
-        assert "is not prime" in proc.stderr
+        assert why in proc.stderr
 
 
 def test_main_mem_cap_flag(capsys):

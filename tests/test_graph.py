@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautcheck.graph import (
     DualGraph,
@@ -95,6 +97,35 @@ def test_serialize_round_trip_presets():
     for name in ["A1", "A4", "D4", "D7", "E6", "E8"]:
         g, _ = preset_graph(name)
         assert parse_graph(serialize_graph(g)) == g
+
+
+@st.composite
+def _decorated_graphs(draw):
+    """Any valid graph: genus, mult decorations and parallel edges."""
+    g = DualGraph()
+    ids = draw(st.lists(st.text("ab_019", min_size=1, max_size=3),
+                        max_size=6, unique=True))
+    for vid in ids:
+        g.add_vertex(vid, draw(st.integers(0, 3)), draw(st.integers(-9, -1)),
+                     draw(st.none() | st.integers(1, 50)))
+    if len(ids) > 1:
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
+            lambda e: e[0] != e[1])
+        edges = draw(st.lists(pairs, max_size=8))
+        if edges:
+            edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+        for a, b in edges:
+            g.add_edge(a, b)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_decorated_graphs())
+def test_serialize_parse_round_trip_property(g):
+    text = serialize_graph(g)
+    again = parse_graph(text)
+    assert again == g
+    assert serialize_graph(again) == text
 
 
 # ---------------------------------------------------------------------------
