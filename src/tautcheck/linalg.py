@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .sparse import compress_ids
+
 _DEFAULT_SEED = 0x7A07
 _SAMPLED_PRIMES = 3
 _DENSE_CELL_BUDGET = 1 << 25
@@ -111,10 +113,9 @@ def _peel_mod_p(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
         rcnt = np.bincount(rows, minlength=nrows)
         mask = (rcnt == 1)[rows]
         if mask.any():
-            pivot_cols = np.unique(cols[mask])
-            rank += pivot_cols.size
             colmask = np.zeros(ncols, dtype=bool)
-            colmask[pivot_cols] = True
+            colmask[cols[mask]] = True
+            rank += int(np.count_nonzero(colmask))
             keep = ~colmask[cols]
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
         if rows.size == 0:
@@ -123,10 +124,9 @@ def _peel_mod_p(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
         ccnt = np.bincount(cols, minlength=ncols)
         mask = (ccnt == 1)[cols]
         if mask.any():
-            pivot_rows = np.unique(rows[mask])
-            rank += pivot_rows.size
             rowmask = np.zeros(nrows, dtype=bool)
-            rowmask[pivot_rows] = True
+            rowmask[rows[mask]] = True
+            rank += int(np.count_nonzero(rowmask))
             keep = ~rowmask[rows]
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
         if rows.size == before:
@@ -232,10 +232,7 @@ def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
             else:
                 del colr[c2]
         rank += 1
-        targets = sorted(colr.get(c0, ()))
-        if targets:
-            del colr[c0]
-        for r in targets:
+        for r in colr.pop(c0, ()):
             rd = rowd[r]
             f = rd.pop(c0) * inv % p
             nnz -= 1
@@ -283,10 +280,8 @@ def rank_mod_p(matrix, p: int, *,
                                          rows, cols, vals)
     if rows.size == 0:
         return rank
-    _, rows = np.unique(rows, return_inverse=True)
-    _, cols = np.unique(cols, return_inverse=True)
-    m = int(rows.max()) + 1
-    n = int(cols.max()) + 1
+    rows, m = compress_ids(rows, matrix.nrows)
+    cols, n = compress_ids(cols, matrix.ncols)
     if _dense_switch(m, n, int(rows.size), dense_cell_budget):
         a = np.zeros((m, n), dtype=np.int64)
         a[rows, cols] = vals

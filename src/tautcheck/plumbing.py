@@ -33,7 +33,7 @@ import numpy as np
 
 from .graph import DualGraph, admissibility_violations
 from .linalg import is_probable_prime
-from .sparse import SparseIntMatrix
+from .sparse import SparseIntMatrix, compress_ids
 
 SLOT0 = "0"
 SLOTINF = "inf"
@@ -419,13 +419,9 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True,
         base[at] = run.coef
         bin_n[at] = _spread(run.bin_n, run.lens)
         bin_k[at] = _spread(run.bin_k, run.lens) + r
-    del runs                 # freed before the matrix sorts its entries
+    del runs                 # freed before renumbering and the key sort
     if drop_zero_columns:
-        # a bitmap of the used columns, not a sort of all entries
-        seen = np.zeros(ncols, dtype=bool)
-        seen[col] = True
-        col = (np.cumsum(seen) - 1)[col]
-        ncols = int(np.count_nonzero(seen))
+        col, ncols = compress_ids(col, ncols)
     return SparseIntMatrix(len(model.points) * _point_rows(w), ncols,
                            row, col, base, bin_n, bin_k)
 

@@ -8,7 +8,8 @@ workloads in hundreds of MB instead of GB and makes reduction mod p a
 table lookup.  Entries read back from text files are kept verbatim in a
 side table.
 
-Entries are stored in canonical row-major order (row, then column); no
+Entries are stored in the order they are given; `entries()` and the
+text format list them in row-major order (row, then column).  No
 duplicate coordinates and no zero values are allowed.
 
 Text format::
@@ -39,19 +40,28 @@ def _pascal_mod(nmax: int, p: int) -> np.ndarray:
     return t
 
 
+def compress_ids(ids: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Renumber ids from range(n) to 0, 1, ... in increasing id order,
+    keeping their order: (inverse, count) as from ``np.unique(ids,
+    return_inverse=True)``, but from a bitmap of the used ids, not a sort."""
+    used = np.zeros(n, dtype=bool)
+    used[ids] = True
+    return (np.cumsum(used) - 1)[ids], int(np.count_nonzero(used))
+
+
 class SparseIntMatrix:
     """Exact integer sparse matrix in coordinate form.
 
     Attributes
     ----------
     nrows, ncols : int
-    row, col : int64 arrays, canonical (row-major) order
+    row, col : int64 arrays, in the order given (not sorted)
     base, bin_n, bin_k : arrays
         Entry i has value ``base[i] * C(bin_n[i], bin_k[i])`` unless
         overridden by `big`.
     big : dict
-        Entry index -> exact value, for literal entries that do not fit
-        the factored form.
+        Entry index in ``range(nnz)`` -> exact value, for literal entries
+        that do not fit the factored form.
     """
 
     __slots__ = ("nrows", "ncols", "row", "col", "base", "bin_n", "bin_k",
@@ -69,6 +79,10 @@ class SparseIntMatrix:
         big = dict(big or {})
         if not (row.size == col.size == base.size == bin_n.size == bin_k.size):
             raise SparseMatrixError("entry arrays disagree in length")
+        if self.nrows * self.ncols >= 1 << 63:
+            raise SparseMatrixError("shape has 2^63 or more cells")
+        if any(not 0 <= i < row.size for i in big):
+            raise SparseMatrixError("big-table index outside the entries")
         if row.size:
             if row.min() < 0 or row.max() >= self.nrows:
                 raise SparseMatrixError("row index out of range")
@@ -76,25 +90,19 @@ class SparseIntMatrix:
                 raise SparseMatrixError("column index out of range")
             if (bin_k < 0).any() or (bin_k > bin_n).any():
                 raise SparseMatrixError("invalid binomial factor")
-            order = np.lexsort((col, row))
-            row, col = row[order], col[order]
-            base, bin_n, bin_k = base[order], bin_n[order], bin_k[order]
-            if big:
-                pos = np.empty(order.size, dtype=np.int64)
-                pos[order] = np.arange(order.size)
-                big = {int(pos[i]): v for i, v in big.items()}
-            dup = (np.diff(row) == 0) & (np.diff(col) == 0)
-            if dup.any():
-                i = int(np.nonzero(dup)[0][0])
-                raise SparseMatrixError(
-                    f"duplicate entry at row {int(row[i])}, col {int(col[i])}")
+            # duplicates are equal neighbours among the sorted keys
+            key = row * self.ncols
+            key += col
+            key.sort()
+            dup = key[1:][key[1:] == key[:-1]]
+            if dup.size:
+                r, c = divmod(int(dup[0]), self.ncols)
+                raise SparseMatrixError(f"duplicate entry at row {r}, col {c}")
             if any(v == 0 for v in big.values()):
                 raise SparseMatrixError("explicit zero entry")
-            if (base == 0).any():
-                # base 0 is only legal under a big-table override
-                for i in np.nonzero(base == 0)[0]:
-                    if int(i) not in big:
-                        raise SparseMatrixError("zero-valued entry")
+            # base 0 is only legal under a big-table override
+            if any(int(i) not in big for i in np.flatnonzero(base == 0)):
+                raise SparseMatrixError("zero-valued entry")
         self.row, self.col = row, col
         self.base, self.bin_n, self.bin_k = base, bin_n, bin_k
         self.big = big
@@ -142,8 +150,8 @@ class SparseIntMatrix:
                                              int(self.bin_k[i]))
 
     def entries(self):
-        """Yield (row, col, exact int value) in canonical order."""
-        for i in range(self.nnz):
+        """Yield (row, col, exact int value) in row-major order."""
+        for i in np.lexsort((self.col, self.row)).tolist():
             yield int(self.row[i]), int(self.col[i]), self.value(i)
 
     def to_dense(self) -> list[list[int]]:
@@ -174,7 +182,7 @@ class SparseIntMatrix:
 
 def _text_lines(matrix: SparseIntMatrix):
     """The line-based triple format: header, entries (1-based indices,
-    canonical row-major order), '0 0 0' terminator."""
+    row-major order), '0 0 0' terminator."""
     yield f"{matrix.nrows} {matrix.ncols} M\n"
     for r, c, v in matrix.entries():
         yield f"{r + 1} {c + 1} {v}\n"

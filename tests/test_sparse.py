@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tautcheck.linalg import rank_mod_p
 from tautcheck.sparse import (
     SparseIntMatrix,
     SparseMatrixError,
+    compress_ids,
     matrix_from_text,
     matrix_to_text,
     read_matrix_text,
@@ -80,6 +84,88 @@ def test_construction_errors(triples, err):
 def test_invalid_binomial_rejected():
     with pytest.raises(SparseMatrixError):
         _factored(1, 1, [(0, 0, 1, 2, 5)])   # k > n
+
+
+def test_shape_with_2_63_cells_rejected():
+    # the duplicate check keys an entry by row * ncols + col in int64
+    with pytest.raises(SparseMatrixError, match="2\\^63"):
+        matrix_from_text("4294967296 4294967296 M\n1 1 1\n"
+                         "4294967296 4294967296 2\n0 0 0\n")
+    with pytest.raises(SparseMatrixError, match="2\\^63"):
+        SparseIntMatrix.empty(1 << 32, 1 << 31)
+
+
+def test_duplicates_found_at_large_coordinates():
+    m, n = 1 << 32, (1 << 31) - 1         # m * n is just below 2^63
+    a = SparseIntMatrix.from_coo(m, n, [(m - 1, n - 1, 2), (0, 0, 1)])
+    assert list(a.entries()) == [(0, 0, 1), (m - 1, n - 1, 2)]
+    with pytest.raises(SparseMatrixError,
+                       match=f"duplicate entry at row {m - 1}, col {n - 2}"):
+        SparseIntMatrix.from_coo(m, n, [(m - 1, n - 2, 2), (0, 0, 1),
+                                        (m - 1, n - 2, 3)])
+
+
+@pytest.mark.parametrize("nnz, big", [
+    (2, {5: 7}),
+    (2, {2: 7}),
+    (2, {-1: 5}),
+    (0, {0: 5}),
+])
+def test_big_index_outside_the_entries_rejected(nnz, big):
+    ones = [1] * nnz
+    with pytest.raises(SparseMatrixError, match="big-table index"):
+        SparseIntMatrix(2, 2, range(nnz), range(nnz), ones, ones, ones, big)
+
+
+@st.composite
+def _shuffled_triples(draw):
+    """(nrows, ncols, triples, a permutation of the triples); one value is
+    at least 2^62 in magnitude, so it lands in the big table."""
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                    st.integers(0, ncols - 1)),
+                          min_size=1, max_size=nrows * ncols, unique=True))
+    values = draw(st.lists(st.integers(-40, 40).filter(bool),
+                           min_size=len(cells), max_size=len(cells)))
+    huge = draw(st.integers(1 << 62, 1 << 80))
+    values[draw(st.integers(0, len(cells) - 1))] = draw(
+        st.sampled_from([huge, -huge]))
+    triples = [(r, c, v) for (r, c), v in zip(cells, values)]
+    return nrows, ncols, triples, draw(st.permutations(triples))
+
+
+def _residues(matrix, p):
+    return sorted(zip(*(a.tolist() for a in matrix.arrays_mod(p))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shuffled_triples())
+def test_entry_order_changes_no_result(case):
+    nrows, ncols, triples, shuffled = case
+    given_order = SparseIntMatrix.from_coo(nrows, ncols, triples)
+    m = SparseIntMatrix.from_coo(nrows, ncols, shuffled)
+    assert len(m.big) == 1
+    assert matrix_to_text(m) == matrix_to_text(given_order)
+    dense = [[0] * ncols for _ in range(nrows)]
+    for r, c, v in triples:
+        dense[r][c] = v
+    assert m.to_dense() == given_order.to_dense() == dense
+    for p in (2, 3, 97):
+        expect = sorted((r, c, v % p) for r, c, v in triples if v % p)
+        assert _residues(m, p) == _residues(given_order, p) == expect
+        assert rank_mod_p(m, p) == rank_mod_p(given_order, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.integers(0, max(n - 1, 0)), max_size=60 if n else 0))))
+def test_compress_ids_matches_unique(case):
+    n, ids = case
+    ids = np.array(ids, dtype=np.int64)
+    got, count = compress_ids(ids, n)
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    assert got.tolist() == inverse.tolist()
+    assert count == distinct.size
 
 
 # ---------------------------------------------------------------------------
