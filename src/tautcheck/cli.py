@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, linalg
@@ -38,6 +39,14 @@ def _check(ok: bool, what: str) -> None:
     holds under `python -O`."""
     if not ok:
         raise LinalgError(f"internal check failed: {what}")
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _graph_summary(g: DualGraph, preset: str | None) -> dict:
@@ -77,8 +86,10 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     """Run the full tautness analysis; returns the report dict.
 
     Exactly one of `graph` (a DualGraph) and `preset` (a name) must be
-    given.  With `return_objects` the (report, model, matrix) triple is
-    returned for further inspection.
+    given.  An input whose estimated assembly footprint exceeds `mem_cap`
+    bytes (by default the physical memory) is refused before assembly.
+    With `return_objects` the (report, model, matrix) triple is returned
+    for further inspection.
     """
     if (graph is None) == (preset is None):
         raise ValueError("pass exactly one of graph= or preset=")
@@ -136,6 +147,8 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         return (report, None, None) if return_objects else report
 
     est = estimate_assembly(model)
+    if mem_cap is None:
+        mem_cap = _physical_memory()
     if mem_cap is not None and est["assembly_peak_bytes"] > mem_cap:
         report = _refusal(base, "assembly", [
             f"estimated assembly footprint {est['assembly_peak_bytes']} "
@@ -298,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--export-matrix", metavar="PATH", default=None,
                     help="write the assembled matrix in the text format")
     an.add_argument("--mem-cap", type=int, default=None, metavar="BYTES",
-                    help="refuse assembly above this estimated footprint")
+                    help="refuse assembly above this estimated footprint "
+                    "(default: the physical memory)")
     an.add_argument("--format", choices=("text", "structured"),
                     default="text", help="output format (default text)")
     return parser

@@ -94,12 +94,6 @@ class DualGraph:
         """Number of edge endpoints at `vid` (parallel edges count)."""
         return sum((a == vid) + (b == vid) for a, b in self.edges)
 
-    def genera(self) -> list[int]:
-        return [self.data[v].genus for v in self.ids]
-
-    def selfints(self) -> list[int]:
-        return [self.data[v].selfint for v in self.ids]
-
 
 # ---------------------------------------------------------------------------
 # text format

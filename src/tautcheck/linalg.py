@@ -4,24 +4,23 @@ Strategy: reduce mod p, then
 
 1. *peel* rows/columns with a single nonzero entry (each is a pivot and
    contributes exactly 1 to the rank — exact over a field);
-2. solve the remaining core by dense vectorized elimination when it is
-   small or dense enough, by deterministic sparse Markowitz elimination
-   otherwise (with a periodic switch back to dense as it fills in).
+2. rank the remaining core by dense vectorized elimination if it is
+   dense (it fits the cell budget and more than a fifth of its cells are
+   nonzero), otherwise by deterministic sparse Markowitz elimination
+   (Dumas & Villard, CASC 2002), run to the end.
 
 The rational rank is bounded by modular ranks: the rank mod any prime
 never exceeds the rank over the rationals, which never exceeds
-min(rows, cols).  `prove_rank_over_Q` ranks the candidate primes, then
-seeded 31-bit primes, until one reaches min(rows, cols) and so proves
-the rational rank; if none does, its result is reported as a lower
-bound.
+min(rows, cols).  `prove_rank_over_Q` ranks the candidate primes one
+after another, then seeded 31-bit primes, until one reaches min(rows,
+cols) and so proves the rational rank; if none does, its result is
+reported as a lower bound.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +30,7 @@ from .sparse import compress_ids
 _DEFAULT_SEED = 0x7A07
 _SAMPLED_PRIMES = 3
 _DENSE_CELL_BUDGET = 1 << 25
-_DENSE_ROW_SWITCH = 4096
-_DENSE_DENSITY_SWITCH = 0.2
+_DENSE_DENSITY = 0.2
 
 
 class LinalgError(ValueError):
@@ -167,48 +165,25 @@ def _dense_rank_mod_p(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _densify_and_rank(rowd: dict[int, dict[int, int]], p: int) -> int:
-    rids = sorted(rowd)
-    cids = sorted({c for rd in rowd.values() for c in rd})
-    cpos = {c: i for i, c in enumerate(cids)}
-    a = np.zeros((len(rids), len(cids)), dtype=np.int64)
-    for i, r in enumerate(rids):
-        for c, v in rowd[r].items():
-            a[i, cpos[c]] = v
-    return _dense_rank_mod_p(a, p)
-
-
-def _dense_switch(m: int, n: int, nnz: int, dense_cell_budget: int) -> bool:
-    """Whether an m x n block with nnz entries is ranked densely: it fits
-    the cell budget and is either short or dense enough."""
-    cells = m * n
-    return 0 < cells <= dense_cell_budget and (
-        m <= _DENSE_ROW_SWITCH or nnz / cells > _DENSE_DENSITY_SWITCH)
-
-
 def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
-                            vals: np.ndarray, p: int,
-                            dense_cell_budget: int) -> int:
-    """Deterministic column-driven Markowitz elimination over GF(p).
+                            vals: np.ndarray, p: int) -> int:
+    """Deterministic column-driven Markowitz elimination over GF(p), run
+    until no entry is left.
 
     Pivot choice: the column with fewest entries (lowest id on ties), in
-    it the row with fewest entries.  After every 64 pivots the active
-    block is re-checked against the dense-switch rule.
+    it the row with fewest entries (lowest id on ties).  On E7 the
+    active block first passes 20% density only in its last 65 rows or
+    fewer, so it is not handed over to dense elimination.
     """
     rowd: dict[int, dict[int, int]] = {}
     colr: dict[int, set[int]] = {}
     for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
         rowd.setdefault(r, {})[c] = v
         colr.setdefault(c, set()).add(r)
-    nnz = int(rows.size)
     col_heap = [(len(rs), c) for c, rs in colr.items()]
     heapq.heapify(col_heap)
     rank = 0
     while colr:
-        # one pivot per pass, so rank counts the pivots taken
-        if rank and rank % 64 == 0 and _dense_switch(
-                len(rowd), len(colr), nnz, dense_cell_budget):
-            return rank + _densify_and_rank(rowd, p)
         # pop a valid (count, col) pair
         while True:
             cnt, c0 = heapq.heappop(col_heap)
@@ -222,7 +197,6 @@ def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
         r0 = min(colr[c0], key=lambda r: (len(rowd[r]), r))
         prow = rowd.pop(r0)
         inv = pow(prow[c0], -1, p)
-        nnz -= len(prow)
         for c2 in prow:
             s = colr[c2]
             s.discard(r0)
@@ -235,7 +209,6 @@ def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
         for r in colr.pop(c0, ()):
             rd = rowd[r]
             f = rd.pop(c0) * inv % p
-            nnz -= 1
             for c2, v2 in prow.items():
                 if c2 == c0:
                     continue
@@ -245,11 +218,9 @@ def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
                         s = colr.setdefault(c2, set())
                         s.add(r)
                         heapq.heappush(col_heap, (len(s), c2))
-                        nnz += 1
                     rd[c2] = nv
                 elif c2 in rd:
                     del rd[c2]
-                    nnz -= 1
                     s = colr[c2]
                     s.discard(r)
                     if s:
@@ -272,6 +243,8 @@ def rank_mod_p(matrix, p: int, *,
         with zero residues dropped.
     p : int
         A prime below 2^31.
+    dense_cell_budget : int
+        The most cells a core ranked by dense elimination may have.
     """
     if not is_valid_modulus(p):
         raise LinalgError(f"modulus {p} is not a prime below 2^31")
@@ -280,37 +253,19 @@ def rank_mod_p(matrix, p: int, *,
                                          rows, cols, vals)
     if rows.size == 0:
         return rank
-    rows, m = compress_ids(rows, matrix.nrows)
-    cols, n = compress_ids(cols, matrix.ncols)
-    if _dense_switch(m, n, int(rows.size), dense_cell_budget):
+    # only a dense core is ranked densely; the Markowitz phase needs no
+    # renumbering, as it keys rows and columns by their ids
+    rids, m = compress_ids(rows, matrix.nrows)
+    cids, n = compress_ids(cols, matrix.ncols)
+    if m * n <= dense_cell_budget and rows.size > _DENSE_DENSITY * m * n:
         a = np.zeros((m, n), dtype=np.int64)
-        a[rows, cols] = vals
+        a[rids, cids] = vals
         return rank + _dense_rank_mod_p(a, p)
-    return rank + _sparse_core_rank_mod_p(rows, cols, vals, p,
-                                          dense_cell_budget)
+    return rank + _sparse_core_rank_mod_p(rows, cols, vals, p)
 
 
 # ---------------------------------------------------------------------------
 # rank over Q
-
-# rank jobs on matrices above this size run one at a time so elimination
-# working sets do not stack up in memory
-_PARALLEL_NNZ_CAP = 4_000_000
-
-
-def _rank_jobs(matrix, primes: list[int]) -> dict[int, int]:
-    """Rank of the matrix modulo each given prime.
-
-    The jobs are independent and the matrix is immutable, so small and
-    medium matrices are processed on a thread pool.
-    """
-    workers = min(len(primes), os.cpu_count() or 1)
-    if workers <= 1 or matrix.nnz > _PARALLEL_NNZ_CAP:
-        return {p: rank_mod_p(matrix, p) for p in primes}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {p: pool.submit(rank_mod_p, matrix, p) for p in primes}
-        return {p: fut.result() for p, fut in futures.items()}
-
 
 class RationalRank(NamedTuple):
     """Outcome of `prove_rank_over_Q`.  `rank_q` is the largest modular
@@ -328,14 +283,14 @@ def prove_rank_over_Q(matrix, candidates) -> RationalRank:
 
     rank mod p <= rank over Q <= min(rows, cols), so a prime whose rank
     reaches min(rows, cols) proves the rational rank.  The candidates
-    are ranked first, together; the smallest one reaching full rank is
-    the certificate.  Otherwise the seeded 31-bit primes are
+    are ranked first, one after another; the smallest one reaching full
+    rank is the certificate.  Otherwise the seeded 31-bit primes are
     ranked one at a time, stopping at the first that reaches full rank.
     If none does, `rank_q` is an unproved lower bound: it is exact unless
     every ranked prime divides the same invariant factor.
     """
     full = min(matrix.nrows, matrix.ncols)
-    ranks = _rank_jobs(matrix, sorted(set(candidates)))
+    ranks = {p: rank_mod_p(matrix, p) for p in sorted(set(candidates))}
     sampled = sample_rank_primes(_SAMPLED_PRIMES)
     proof = min((p for p, r in ranks.items() if r == full), default=None)
     for q in sampled:

@@ -60,7 +60,6 @@ class IntersectionPoint:
     va: int                  # endpoint vertex indices as declared
     vb: int
     side: int                # canonical side: the smaller vertex index
-    other: int
     slot_side: str
     slot_other: str
     row_offset: int = 0
@@ -180,7 +179,7 @@ def build_model(g: DualGraph, j: int, primes: list[int],
     for ei, (a, b) in enumerate(edge_idx):
         side, other = (a, b) if a < b else (b, a)
         model.points.append(IntersectionPoint(
-            index=ei, va=a, vb=b, side=side, other=other,
+            index=ei, va=a, vb=b, side=side,
             slot_side=slots[side][ei], slot_other=slots[other][ei],
             row_offset=ei * _point_rows(j)))
     model.row_count = len(edge_idx) * _point_rows(j)

@@ -206,6 +206,16 @@ def test_analyze_mem_cap_refusal():
     assert "results" not in r
 
 
+def test_analyze_default_mem_cap_is_physical_memory(monkeypatch):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1000)
+    r = analyze(preset="D4")
+    assert (r["status"], r["stage"]) == ("refused", "assembly")
+    assert any("memory cap 1000" in s for s in r["reasons"])
+    assert analyze(preset="D4", mem_cap=10**12)["status"] == "ok"
+    monkeypatch.setattr(cli, "_physical_memory", lambda: None)
+    assert analyze(preset="D4")["status"] == "ok"
+
+
 def test_analyze_return_objects():
     r, model, matrix = analyze(preset="D4", return_objects=True)
     assert model.j == 11
