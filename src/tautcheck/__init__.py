@@ -13,9 +13,9 @@ from .graph import (DualGraph, GraphError, VertexData, intersection_matrix,
                     parse_graph, preset_graph, serialize_graph)
 from .cycles import (CyclesError, MultiplicityPlan, anti_ample_cycle,
                      choose_j, exhaustive_tau_min, fundamental_cycle,
-                     greedy_tau, is_anti_ample, make_coprime,
-                     make_coprime_to_all, significant_multiplicity_to_all,
-                     step_vanishing_check, vanishing_floor)
+                     greedy_tau, is_anti_ample, make_coprime_to_all,
+                     significant_multiplicity_to_all, step_vanishing_check,
+                     vanishing_floor)
 from .sparse import (SparseIntMatrix, SparseMatrixError, matrix_from_text,
                      matrix_to_text, read_matrix_text, write_matrix_text)
 from .plumbing import (GeneratorColumn, IntersectionPoint, PlumbingError,
@@ -31,7 +31,7 @@ __all__ = [
     "parse_graph", "preset_graph", "serialize_graph",
     "CyclesError", "MultiplicityPlan", "anti_ample_cycle", "choose_j",
     "exhaustive_tau_min", "fundamental_cycle", "greedy_tau", "is_anti_ample",
-    "make_coprime", "make_coprime_to_all", "significant_multiplicity_to_all",
+    "make_coprime_to_all", "significant_multiplicity_to_all",
     "step_vanishing_check", "vanishing_floor",
     "SparseIntMatrix", "SparseMatrixError", "matrix_from_text",
     "matrix_to_text", "read_matrix_text", "write_matrix_text",

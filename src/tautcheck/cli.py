@@ -18,15 +18,15 @@ import os
 import sys
 
 from . import __version__, linalg
-from .cycles import (CyclesError, anti_ample_cycle, choose_j,
-                     fundamental_cycle, is_anti_ample, make_coprime_to_all,
+from .cycles import (anti_ample_cycle, choose_j, fundamental_cycle,
+                     is_anti_ample, make_coprime_to_all,
                      significant_multiplicity_to_all)
-from .graph import (DualGraph, GraphError, admissibility_violations,
-                    parse_graph, preset_graph)
+from .graph import (DualGraph, admissibility_violations, parse_graph,
+                    preset_graph)
 from .linalg import LinalgError, prove_rank_over_Q
 from .plumbing import (PlumbingError, assemble_matrix, build_model,
                        estimate_assembly)
-from .sparse import SparseMatrixError, write_matrix_text
+from .sparse import write_matrix_text
 
 DEFAULT_PRIMES = (2, 3, 5, 7)
 
@@ -87,7 +87,8 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
 
     Exactly one of `graph` (a DualGraph) and `preset` (a name) must be
     given.  An input whose estimated assembly footprint exceeds `mem_cap`
-    bytes (by default the physical memory) is refused before assembly.
+    bytes (by default the physical memory), or whose estimate itself runs
+    out of memory, is refused before assembly.
     With `return_objects` the (report, model, matrix) triple is returned
     for further inspection.
     """
@@ -146,7 +147,12 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         report = _refusal(base, "model", [str(exc)])
         return (report, None, None) if return_objects else report
 
-    est = estimate_assembly(model)
+    try:
+        est = estimate_assembly(model)
+    except MemoryError:
+        report = _refusal(base, "assembly", [
+            "estimating the assembly footprint ran out of memory"])
+        return (report, model, None) if return_objects else report
     if mem_cap is None:
         mem_cap = _physical_memory()
     if mem_cap is not None and est["assembly_peak_bytes"] > mem_cap:
@@ -319,27 +325,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # every package error is a ValueError
     try:
-        if args.command == "analyze":
-            graph = None
-            if args.graph is not None:
-                with open(args.graph) as f:
-                    graph = parse_graph(f.read())
-            report = analyze(graph=graph, preset=args.preset,
-                             primes=args.primes, mode=args.mode, j=args.j,
-                             mem_cap=args.mem_cap,
-                             export_path=args.export_matrix)
-            text = render_structured(report) if args.format == "structured" \
-                else render_text(report)
-            sys.stdout.write(text)
-            return 0 if report["status"] == "ok" else 2
-    except (GraphError, CyclesError, PlumbingError, LinalgError,
-            SparseMatrixError, OSError, ValueError) as exc:
+        graph = None
+        if args.graph is not None:
+            with open(args.graph) as f:
+                graph = parse_graph(f.read())
+        report = analyze(graph=graph, preset=args.preset,
+                         primes=args.primes, mode=args.mode, j=args.j,
+                         mem_cap=args.mem_cap,
+                         export_path=args.export_matrix)
+        text = render_structured(report) if args.format == "structured" \
+            else render_text(report)
+        sys.stdout.write(text)
+        return 0 if report["status"] == "ok" else 2
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return 1
 
 
 if __name__ == "__main__":

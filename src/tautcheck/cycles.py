@@ -96,57 +96,21 @@ def _coupling_bound(m: list[list[int]]) -> int:
     return max(sum(m[i][j] for j in range(n) if j != i) for i in range(n))
 
 
-def make_coprime(g: DualGraph, z: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Adjust an anti-ample cycle so no coefficient is divisible by p.
-
-    The classical repair recipe: scale the cycle by (t+1), t the largest
-    off-diagonal row sum of the intersection matrix, then bump every
-    coefficient divisible by p up by one — the scale margin absorbs the
-    bumps, so the result is still anti-ample.  When the *scaled* cycle
-    needs no bump at all (which forces the input to be coprime already)
-    the scaling is skipped and the smaller input passes through; p = 1
-    always passes through.
-
-    Parameters
-    ----------
-    g : DualGraph
-    z : tuple of int
-        An anti-ample cycle.
-    p : int
-        A prime, or 1 (no condition).
-    """
-    _check_cycle_arg(g, z)
-    if p < 1:
-        raise CyclesError(f"p must be >= 1, got {p}")
-    if not is_anti_ample(g, z):
-        raise CyclesError("make_coprime requires an anti-ample input cycle")
-    if p == 1:
-        return tuple(z)
-    t = _coupling_bound(intersection_matrix(g))
-    scaled = [(t + 1) * c for c in z]
-    if all(c % p != 0 for c in scaled):
-        return tuple(z)
-    result = tuple(c + 1 if c % p == 0 else c for c in scaled)
-    if not is_anti_ample(g, result) or any(c % p == 0 for c in result):
-        raise CyclesError(f"internal check failed: {result} is not an "
-                          f"anti-ample cycle prime to {p}")
-    return result
-
-
 def make_coprime_to_all(g: DualGraph, z: tuple[int, ...],
                         primes: list[int]) -> tuple[int, ...]:
     """Adjust an anti-ample cycle to be coprime to every prime in `primes`.
 
-    One generalized scale-and-bump pass: scale by (m*t + 1) and bump each
+    One generalized scale-and-bump pass: scale by (m*t + 1), t the
+    largest off-diagonal row sum of the intersection matrix, and bump each
     coefficient up to the next integer coprime to all the primes, where m
     is the largest bump used; the scale is grown until it dominates m*t,
-    which keeps the result anti-ample by the same margin argument as the
-    single-prime case.  (Applying the single-prime adjustment per prime in
-    sequence does not converge: each pass can destroy the previous one.)
-
-    Unlike :func:`make_coprime`, an input that is already coprime to every
-    prime passes through unconditionally — the analysis pipeline prefers
-    the smallest usable cycle.
+    so the scale margin absorbs the bumps and the result stays anti-ample.
+    For one prime this is the classical recipe, scale by t + 1 and bump
+    every multiple of p by one.  (Applying the one-prime recipe
+    per prime in sequence does not converge: each pass can destroy the
+    previous one.)  An input already coprime to every prime passes
+    through, since the analysis pipeline prefers the smallest usable
+    cycle; a prime 1 imposes no condition.
     """
     _check_cycle_arg(g, z)
     if not is_anti_ample(g, z):

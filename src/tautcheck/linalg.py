@@ -4,10 +4,8 @@ Strategy: reduce mod p, then
 
 1. *peel* rows/columns with a single nonzero entry (each is a pivot and
    contributes exactly 1 to the rank — exact over a field);
-2. rank the remaining core by dense vectorized elimination if it is
-   dense (it fits the cell budget and more than a fifth of its cells are
-   nonzero), otherwise by deterministic sparse Markowitz elimination
-   (Dumas & Villard, CASC 2002), run to the end.
+2. rank the remaining core by deterministic sparse Markowitz
+   elimination (Dumas & Villard, CASC 2002), run to the end.
 
 The rational rank is bounded by modular ranks: the rank mod any prime
 never exceeds the rank over the rationals, which never exceeds
@@ -25,12 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sparse import compress_ids
-
 _DEFAULT_SEED = 0x7A07
 _SAMPLED_PRIMES = 3
-_DENSE_CELL_BUDGET = 1 << 25
-_DENSE_DENSITY = 0.2
 
 
 class LinalgError(ValueError):
@@ -132,48 +126,14 @@ def _peel_mod_p(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
     return rank, rows, cols, vals
 
 
-def _dense_rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Gaussian elimination on an int64 array with entries in [0, p).
-
-    Row updates are chunked so temporaries stay small; products fit in
-    int64 because p < 2^31.
-    """
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
-        tail = a[r + 1:, c]
-        tidx = np.nonzero(tail)[0]
-        if tidx.size:
-            tidx += r + 1
-            width = n - c
-            chunk = max(1, (1 << 21) // max(width, 1))
-            prow = a[r, c:]
-            for lo in range(0, tidx.size, chunk):
-                idx = tidx[lo:lo + chunk]
-                a[idx, c:] = (a[idx, c:] - a[idx, c][:, None] * prow) % p
-        r += 1
-    return r
-
-
 def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
                             vals: np.ndarray, p: int) -> int:
     """Deterministic column-driven Markowitz elimination over GF(p), run
     until no entry is left.
 
     Pivot choice: the column with fewest entries (lowest id on ties), in
-    it the row with fewest entries (lowest id on ties).  On E7 the
-    active block first passes 20% density only in its last 65 rows or
-    fewer, so it is not handed over to dense elimination.
+    it the row with fewest entries (lowest id on ties).  Rows and
+    columns are keyed by their ids, so the core needs no renumbering.
     """
     rowd: dict[int, dict[int, int]] = {}
     colr: dict[int, set[int]] = {}
@@ -232,9 +192,10 @@ def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
     return rank
 
 
-def rank_mod_p(matrix, p: int, *,
-               dense_cell_budget: int = _DENSE_CELL_BUDGET) -> int:
-    """Exact rank of an integer matrix over GF(p).
+def rank_mod_p(matrix, p: int) -> int:
+    """Exact rank of an integer matrix over GF(p): reduce mod p, peel the
+    singleton rows and columns, then rank the core by Markowitz
+    elimination.
 
     Parameters
     ----------
@@ -243,24 +204,12 @@ def rank_mod_p(matrix, p: int, *,
         with zero residues dropped.
     p : int
         A prime below 2^31.
-    dense_cell_budget : int
-        The most cells a core ranked by dense elimination may have.
     """
     if not is_valid_modulus(p):
         raise LinalgError(f"modulus {p} is not a prime below 2^31")
     rows, cols, vals = matrix.arrays_mod(p)
     rank, rows, cols, vals = _peel_mod_p(matrix.nrows, matrix.ncols,
                                          rows, cols, vals)
-    if rows.size == 0:
-        return rank
-    # only a dense core is ranked densely; the Markowitz phase needs no
-    # renumbering, as it keys rows and columns by their ids
-    rids, m = compress_ids(rows, matrix.nrows)
-    cids, n = compress_ids(cols, matrix.ncols)
-    if m * n <= dense_cell_budget and rows.size > _DENSE_DENSITY * m * n:
-        a = np.zeros((m, n), dtype=np.int64)
-        a[rids, cids] = vals
-        return rank + _dense_rank_mod_p(a, p)
     return rank + _sparse_core_rank_mod_p(rows, cols, vals, p)
 
 

@@ -1,0 +1,30 @@
+"""A dense rank oracle shared by the test modules: textbook elimination
+over the prime field on a numpy array, independent of `rank_mod_p`."""
+
+import numpy as np
+
+
+def oracle_rank_dense(dense, p):
+    """Textbook elimination over the prime field, vectorized."""
+    a = np.array(dense, dtype=np.int64) % p
+    if a.size == 0:
+        return 0
+    rows, cols = a.shape
+    rank = 0
+    for c in range(cols):
+        pivots = np.nonzero(a[rank:, c])[0]
+        if pivots.size == 0:
+            continue
+        pr = rank + int(pivots[0])
+        if pr != rank:
+            a[[rank, pr]] = a[[pr, rank]]
+        inv = pow(int(a[rank, c]), p - 2, p)
+        a[rank] = a[rank] * inv % p
+        other = np.nonzero(a[:, c])[0]
+        other = other[other != rank]
+        if other.size:
+            a[other] = (a[other] - np.outer(a[other, c], a[rank])) % p
+        rank += 1
+        if rank == rows:
+            break
+    return rank

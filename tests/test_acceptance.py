@@ -23,6 +23,8 @@ from tautcheck.linalg import prove_rank_over_Q, rank_mod_p
 from tautcheck.plumbing import assemble_matrix, build_model
 from tautcheck.sparse import SparseIntMatrix
 
+from rank_oracle import oracle_rank_dense
+
 BIG_PRIME = 2147483629          # largest prime below 2**31
 
 # reference values: preset -> (rows, ranks at p=2,3,5,7, h1 at p=2,3,5,7)
@@ -118,32 +120,6 @@ def test_criterion_04_rank_monotonicity_and_chain_tautness():
             assert rank_mod_p(matrix, p) <= rq
 
 
-def _oracle_rank_dense(dense, p):
-    """Textbook elimination over the prime field, vectorized."""
-    a = np.array(dense, dtype=np.int64) % p
-    if a.size == 0:
-        return 0
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        pivots = np.nonzero(a[rank:, c])[0]
-        if pivots.size == 0:
-            continue
-        pr = rank + int(pivots[0])
-        if pr != rank:
-            a[[rank, pr]] = a[[pr, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank] = a[rank] * inv % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != rank]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[rank])) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def test_criterion_05_rank_oracle_on_random_sparse_matrices():
     rng = random.Random(20260816)
     for trial in range(200):
@@ -161,7 +137,7 @@ def test_criterion_05_rank_oracle_on_random_sparse_matrices():
         mat = SparseIntMatrix.from_coo(m, n, triples)
         dense = mat.to_dense()
         for p in (2, 3, 5, 7, 101):
-            assert rank_mod_p(mat, p) == _oracle_rank_dense(dense, p), \
+            assert rank_mod_p(mat, p) == oracle_rank_dense(dense, p), \
                 (trial, m, n, p)
 
 
@@ -299,8 +275,8 @@ def test_criterion_08_truncation_soundness():
         dense_small = small.to_dense()
         dense_large = large.to_dense()
         for p in (2, 3, 5, 7, BIG_PRIME):
-            r_small = _oracle_rank_dense(dense_small, p)
-            r_large = _oracle_rank_dense(dense_large, p)
+            r_small = oracle_rank_dense(dense_small, p)
+            r_large = oracle_rank_dense(dense_large, p)
             assert rank_mod_p(small, p) == r_small
             assert rank_mod_p(large, p) == r_large
             assert r_large - r_small == extra_rows, p

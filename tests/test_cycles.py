@@ -15,7 +15,6 @@ from tautcheck.cycles import (
     fundamental_cycle,
     greedy_tau,
     is_anti_ample,
-    make_coprime,
     make_coprime_to_all,
     significant_multiplicity_to_all,
     step_vanishing_check,
@@ -117,25 +116,19 @@ def test_is_anti_ample_rejects():
 
 def test_make_coprime_passthrough_p1():
     g, _ = preset_graph("A2")
-    assert make_coprime(g, (1, 1), 1) == (1, 1)
-
-
-def test_make_coprime_chain_of_two_at_2():
-    # scale by (t+1) = 2, then bump the even coefficients
-    g, _ = preset_graph("A2")
-    assert make_coprime(g, (1, 1), 2) == (3, 3)
+    assert make_coprime_to_all(g, (1, 1), [1]) == (1, 1)
 
 
 def test_make_coprime_star_at_7_passthrough():
-    # the scaled cycle needs no bump, so the smaller input is kept
+    # no coefficient is a multiple of 7, so the input is kept
     g, cyc = preset_graph("D4")
-    assert make_coprime(g, cyc, 7) == (3, 3, 5, 3)
+    assert make_coprime_to_all(g, cyc, [7]) == (3, 3, 5, 3)
 
 
 def test_make_coprime_star_at_3():
     # t = 3 for the star, scale (12,12,20,12), bump multiples of 3
     g, cyc = preset_graph("D4")
-    assert make_coprime(g, cyc, 3) == (13, 13, 20, 13)
+    assert make_coprime_to_all(g, cyc, [3]) == (13, 13, 20, 13)
 
 
 def test_make_coprime_postconditions():
@@ -144,7 +137,7 @@ def test_make_coprime_postconditions():
     for name, z in cases:
         g, _ = preset_graph(name)
         for p in (2, 3, 5, 7, 11):
-            out = make_coprime(g, z, p)
+            out = make_coprime_to_all(g, z, [p])
             assert is_anti_ample(g, out), (name, p)
             assert all(c % p != 0 for c in out), (name, p)
 
@@ -152,15 +145,15 @@ def test_make_coprime_postconditions():
 def test_make_coprime_rejects_non_anti_ample():
     g, _ = preset_graph("A3")
     with pytest.raises(CyclesError):
-        make_coprime(g, (1, 1, 1), 2)
+        make_coprime_to_all(g, (1, 1, 1), [2])
 
 
 def test_make_coprime_rejects_p_below_one():
-    """0 used to divide by zero and -3 was taken as 3."""
+    """0 once made the bump search loop forever on gcd(x, 0) = x."""
     g, cyc = preset_graph("D4")
     for p in (0, -3):
         with pytest.raises(CyclesError):
-            make_coprime(g, cyc, p)
+            make_coprime_to_all(g, cyc, [p])
 
 
 def test_make_coprime_to_all_postconditions():
@@ -182,22 +175,19 @@ def test_make_coprime_to_all_passthrough_when_coprime():
 
 
 def test_make_coprime_to_all_rejects_entries_below_one():
-    """A 0 once made the bump search loop forever on gcd(x, 0) = x."""
     g, cyc = preset_graph("D4")
-    for primes in ([0], [2, 0], [-3]):
+    for primes in ([2, 0], [5, -3]):
         with pytest.raises(CyclesError):
             make_coprime_to_all(g, cyc, primes)
 
 
 def test_make_coprime_to_all_matches_single_prime_on_repairs():
-    """For a one-prime set and an input whose coefficients actually hit the
-    prime, the generalized pass reduces to the classical scale-and-bump."""
+    """For one prime whose multiples the input actually has, the pass is
+    the classical scale by t + 1 and bump of each multiple by one."""
     g, cyc = preset_graph("D4")
-    for p in (3, 5):
-        assert make_coprime_to_all(g, cyc, [p]) == make_coprime(g, cyc, p)
+    assert make_coprime_to_all(g, cyc, [5]) == (12, 12, 21, 12)
     g3, _ = preset_graph("A3")
-    assert (make_coprime_to_all(g3, (2, 3, 2), [2])
-            == make_coprime(g3, (2, 3, 2), 2) == (7, 9, 7))
+    assert make_coprime_to_all(g3, (2, 3, 2), [2]) == (7, 9, 7)
 
 
 # ---------------------------------------------------------------------------

