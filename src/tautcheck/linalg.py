@@ -98,32 +98,23 @@ def _peel_mod_p(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
     Returns (rank gained, remaining rows, cols, vals).  Exact over GF(p):
     a singleton row's column (and dually) can be eliminated wholesale.
     """
-    rank = 0
-    while rows.size:
-        before = rows.size
-        # rows with exactly one entry: pivot there, delete their columns
-        rcnt = np.bincount(rows, minlength=nrows)
-        mask = (rcnt == 1)[rows]
-        if mask.any():
-            colmask = np.zeros(ncols, dtype=bool)
-            colmask[cols[mask]] = True
-            rank += int(np.count_nonzero(colmask))
-            keep = ~colmask[cols]
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        if rows.size == 0:
-            break
-        # columns with exactly one entry: pivot there, delete their rows
-        ccnt = np.bincount(cols, minlength=ncols)
-        mask = (ccnt == 1)[cols]
-        if mask.any():
-            rowmask = np.zeros(nrows, dtype=bool)
-            rowmask[rows[mask]] = True
-            rank += int(np.count_nonzero(rowmask))
-            keep = ~rowmask[rows]
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        if rows.size == before:
-            break
-    return rank, rows, cols, vals
+    rank, side, idle = 0, 0, 0
+    ends, shape = [rows, cols], (nrows, ncols)
+    # rows, then columns, in turn; stop after two passes that peel nothing
+    while vals.size and idle < 2:
+        line, cross = ends[side], ends[1 - side]
+        # lines with exactly one entry: pivot there, delete the crossing lines
+        single = (np.bincount(line, minlength=shape[side]) == 1)[line]
+        gone = np.zeros(shape[1 - side], dtype=bool)
+        gone[cross[single]] = True
+        peeled = int(np.count_nonzero(gone))
+        if peeled:
+            keep = ~gone[cross]
+            ends, vals = [e[keep] for e in ends], vals[keep]
+        rank += peeled
+        idle = 0 if peeled else idle + 1
+        side = 1 - side
+    return rank, ends[0], ends[1], vals
 
 
 def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,

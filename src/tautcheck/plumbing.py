@@ -33,7 +33,7 @@ import numpy as np
 
 from .graph import DualGraph, admissibility_violations
 from .linalg import is_probable_prime
-from .sparse import SparseIntMatrix, compress_ids
+from .sparse import SparseIntMatrix
 
 SLOT0 = "0"
 SLOTINF = "inf"
@@ -386,6 +386,14 @@ def _spread(v: np.ndarray | int, lens: np.ndarray) -> np.ndarray | int:
     return v.repeat(lens) if isinstance(v, np.ndarray) else v
 
 
+def _used_columns(runs, ncols: int) -> np.ndarray:
+    """Bitmap of the candidate columns that hold an entry of `runs`."""
+    used = np.zeros(ncols, dtype=bool)
+    for run in runs:
+        used[run.col0:run.col0 + run.lens.size] |= run.lens > 0
+    return used
+
+
 def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True,
                     window: int | None = None, b_cap: int | None = None,
                     ) -> SparseIntMatrix:
@@ -393,16 +401,22 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True,
 
     Keeps the non-empty runs of one `_entry_runs` walk, allocates the
     entry arrays once for their total length and fills them; never
-    materializes a dense row.  All-zero candidate columns are dropped
-    unless `drop_zero_columns` is false.  `window` and `b_cap` override
-    the point window size and the generator b-range (used by the
-    truncation-soundness tests); by default both equal j.
+    materializes a dense row.  Columns are numbered once, on the
+    candidate grid: all-zero candidate columns are dropped unless
+    `drop_zero_columns` is false, and the rest keep their order.
+    `window` and `b_cap` override the point window size and the
+    generator b-range (used by the truncation-soundness tests); by
+    default both equal j.
     """
     w = model.j if window is None else window
     batches = _candidate_columns(model, model.j if b_cap is None else b_cap)
     ncols = _column_count(batches)
     runs = [(run, n) for run in _entry_runs(model, w, batches)
             if (n := int(run.lens.sum()))]
+    used = (_used_columns((run for run, _ in runs), ncols)
+            if drop_zero_columns else np.ones(ncols, dtype=bool))
+    new_id = np.cumsum(used) - 1         # candidate column -> matrix column
+    ncols = int(np.count_nonzero(used))
     nnz = sum(n for _, n in runs)
     row, col, base = (np.empty(nnz, dtype=np.int64) for _ in range(3))
     bin_n, bin_k = (np.empty(nnz, dtype=np.int32) for _ in range(2))
@@ -414,13 +428,11 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True,
         end += n
         row[at] = _row_ids(_spread(run.x0, run.lens) + r,
                            _spread(run.ye, run.lens), *run.where)
-        col[at] = run.col0 + np.arange(run.lens.size).repeat(run.lens)
+        col[at] = new_id[run.col0:run.col0 + run.lens.size].repeat(run.lens)
         base[at] = run.coef
         bin_n[at] = _spread(run.bin_n, run.lens)
         bin_k[at] = _spread(run.bin_k, run.lens) + r
-    del runs                 # freed before renumbering and the key sort
-    if drop_zero_columns:
-        col, ncols = compress_ids(col, ncols)
+    del runs                 # freed before the key sort
     return SparseIntMatrix(len(model.points) * _point_rows(w), ncols,
                            row, col, base, bin_n, bin_k)
 
@@ -429,14 +441,13 @@ def enumerate_generators(model: PlumbingModel,
                          drop_zero_columns: bool = True
                          ) -> list[GeneratorColumn]:
     """The matrix columns (post zero-column drop), canonical order.  The
-    drop assembles the matrix to find the used columns."""
+    drop reads the used columns from one walk of the entries."""
     batches = _candidate_columns(model, model.j)
     starts = [b.col_start for b in batches]
+    ids = range(_column_count(batches))
     if drop_zero_columns:
-        full = assemble_matrix(model, drop_zero_columns=False)
-        ids = np.unique(full.col).tolist()
-    else:
-        ids = range(_column_count(batches))
+        used = _used_columns(_entry_runs(model, model.j, batches), len(ids))
+        ids = np.flatnonzero(used).tolist()
     columns: list[GeneratorColumn] = []
     for new_id, old in enumerate(ids):
         b = batches[bisect.bisect_right(starts, old) - 1]
@@ -516,6 +527,5 @@ def estimate_assembly(model: PlumbingModel) -> dict:
         "candidate_columns": _column_count(batches),
         "points": len(model.points),
         "nnz": nnz,
-        "entry_bytes": nnz * 32,
         "assembly_peak_bytes": nnz * 96,
     }

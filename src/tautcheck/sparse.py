@@ -5,8 +5,8 @@ Entries produced by the plumbing assembly all have the shape
 coefficient from the chart shift x -> x+1.  Storing the two factors
 instead of the (potentially hundreds of digits) product keeps the big
 workloads in hundreds of MB instead of GB and makes reduction mod p a
-table lookup.  Entries read back from text files are kept verbatim in a
-side table.
+table lookup.  A literal value that does not fit int64 (from `from_coo`
+or the text format) makes `base` an object array of exact ints instead.
 
 Entries are stored in the order they are given; `entries()` and the
 text format list them in row-major order (row, then column).  No
@@ -40,15 +40,6 @@ def _pascal_mod(nmax: int, p: int) -> np.ndarray:
     return t
 
 
-def compress_ids(ids: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """Renumber ids from range(n) to 0, 1, ... in increasing id order,
-    keeping their order: (inverse, count) as from ``np.unique(ids,
-    return_inverse=True)``, but from a bitmap of the used ids, not a sort."""
-    used = np.zeros(n, dtype=bool)
-    used[ids] = True
-    return (np.cumsum(used) - 1)[ids], int(np.count_nonzero(used))
-
-
 class SparseIntMatrix:
     """Exact integer sparse matrix in coordinate form.
 
@@ -57,32 +48,28 @@ class SparseIntMatrix:
     nrows, ncols : int
     row, col : int64 arrays, in the order given (not sorted)
     base, bin_n, bin_k : arrays
-        Entry i has value ``base[i] * C(bin_n[i], bin_k[i])`` unless
-        overridden by `big`.
-    big : dict
-        Entry index in ``range(nnz)`` -> exact value, for literal entries
-        that do not fit the factored form.
+        Entry i has value ``base[i] * C(bin_n[i], bin_k[i])``.  `base` is
+        int64, or an object array of exact ints when a value does not
+        fit int64.
     """
 
-    __slots__ = ("nrows", "ncols", "row", "col", "base", "bin_n", "bin_k",
-                 "big")
+    __slots__ = ("nrows", "ncols", "row", "col", "base", "bin_n", "bin_k")
 
-    def __init__(self, nrows: int, ncols: int, row, col, base, bin_n, bin_k,
-                 big: dict[int, int] | None = None):
+    def __init__(self, nrows: int, ncols: int, row, col, base, bin_n, bin_k):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         row = np.asarray(row, dtype=np.int64)
         col = np.asarray(col, dtype=np.int64)
-        base = np.asarray(base, dtype=np.int64)
+        try:
+            base = np.asarray(base, dtype=np.int64)
+        except OverflowError:
+            base = np.asarray(base, dtype=object)
         bin_n = np.asarray(bin_n, dtype=np.int32)
         bin_k = np.asarray(bin_k, dtype=np.int32)
-        big = dict(big or {})
         if not (row.size == col.size == base.size == bin_n.size == bin_k.size):
             raise SparseMatrixError("entry arrays disagree in length")
         if self.nrows * self.ncols >= 1 << 63:
             raise SparseMatrixError("shape has 2^63 or more cells")
-        if any(not 0 <= i < row.size for i in big):
-            raise SparseMatrixError("big-table index outside the entries")
         if row.size:
             if row.min() < 0 or row.max() >= self.nrows:
                 raise SparseMatrixError("row index out of range")
@@ -98,14 +85,10 @@ class SparseIntMatrix:
             if dup.size:
                 r, c = divmod(int(dup[0]), self.ncols)
                 raise SparseMatrixError(f"duplicate entry at row {r}, col {c}")
-            if any(v == 0 for v in big.values()):
-                raise SparseMatrixError("explicit zero entry")
-            # base 0 is only legal under a big-table override
-            if any(int(i) not in big for i in np.flatnonzero(base == 0)):
+            if (base == 0).any():
                 raise SparseMatrixError("zero-valued entry")
         self.row, self.col = row, col
         self.base, self.bin_n, self.bin_k = base, bin_n, bin_k
-        self.big = big
 
     # -- constructors ------------------------------------------------------
 
@@ -118,19 +101,9 @@ class SparseIntMatrix:
     def from_coo(cls, nrows: int, ncols: int,
                  triples) -> "SparseIntMatrix":
         """Build from (row, col, value) triples with exact int values."""
-        rows, cols, bases = [], [], []
-        big: dict[int, int] = {}
-        lim = 1 << 62
-        for i, (r, c, v) in enumerate(triples):
-            rows.append(r)
-            cols.append(c)
-            if -lim < v < lim:
-                bases.append(v)
-            else:
-                bases.append(1)
-                big[i] = v
-        z = np.zeros(len(rows), dtype=np.int32)
-        return cls(nrows, ncols, rows, cols, bases, z, z, big)
+        t = np.array(list(triples), dtype=object).reshape(-1, 3)
+        z = np.zeros(len(t), dtype=np.int32)
+        return cls(nrows, ncols, t[:, 0], t[:, 1], t[:, 2], z, z)
 
     # -- basic queries -----------------------------------------------------
 
@@ -144,8 +117,6 @@ class SparseIntMatrix:
         return self.nnz / cells if cells else 0.0
 
     def value(self, i: int) -> int:
-        if i in self.big:
-            return self.big[i]
         return int(self.base[i]) * math.comb(int(self.bin_n[i]),
                                              int(self.bin_k[i]))
 
@@ -164,14 +135,10 @@ class SparseIntMatrix:
 
     def arrays_mod(self, p: int):
         """(rows, cols, values mod p) with zero residues dropped."""
-        base_m = self.base % p
-        if self.bin_n.size and int(self.bin_n.max()) > 0:
-            pas = _pascal_mod(int(self.bin_n.max()), p)
-            vals = base_m * pas[self.bin_n, self.bin_k] % p
-        else:
-            vals = base_m
-        for i, v in self.big.items():
-            vals[i] = v % p
+        vals = (self.base % p).astype(np.int64, copy=False)
+        pas = _pascal_mod(int(self.bin_n.max(initial=0)), p)
+        vals *= pas[self.bin_n, self.bin_k]
+        vals %= p
         keep = vals != 0
         return self.row[keep], self.col[keep], vals[keep]
 

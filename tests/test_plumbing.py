@@ -6,6 +6,7 @@ the scalar `expand_at_point` path and compares them against the
 vectorized assembly.
 """
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -336,19 +337,32 @@ def test_assembly_matches_scalar_expansion_permuted_slots():
 
 
 @st.composite
-def _small_tree_models(draw):
-    """Potentially-taut trees on 2-4 vertices (negative definite, since
-    every self-intersection is -2..-4), random slots, j in {3, 5, 7}."""
+def _small_trees(draw):
+    """A potentially-taut tree on 2-4 vertices (negative definite, since
+    every self-intersection is -2..-4) as (vertex lines, edge lines,
+    valences), and j in {3, 5, 7}."""
     n = draw(st.integers(2, 4))
     parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
-    text = "".join(f"vertex v{i} genus=0 selfint={draw(st.integers(-4, -2))}\n"
-                   for i in range(n))
-    text += "".join(f"edge v{p} v{i}\n" for i, p in enumerate(parents, 1))
+    vertices = [f"vertex v{i} genus=0 selfint={draw(st.integers(-4, -2))}\n"
+                for i in range(n)]
+    edges = [f"edge v{p} v{i}\n" for i, p in enumerate(parents, 1)]
     valence = [parents.count(l) + (l > 0) for l in range(n)]
-    slots = {l: list(draw(st.permutations(["0", "inf", "1"])))[:valence[l]]
-             for l in range(n)}
-    return build_model(parse_graph(text), draw(st.sampled_from([3, 5, 7])),
-                       [2], slot_assignment=slots)
+    return vertices, edges, valence, draw(st.sampled_from([3, 5, 7]))
+
+
+@st.composite
+def _slot_assignments(draw, valence):
+    """Distinct random slots for the incident edges of every vertex."""
+    return {l: list(draw(st.permutations(["0", "inf", "1"])))[:k]
+            for l, k in enumerate(valence)}
+
+
+@st.composite
+def _small_tree_models(draw):
+    """A `_small_trees` model with random slots."""
+    vertices, edges, valence, j = draw(_small_trees())
+    return build_model(parse_graph("".join(vertices + edges)), j, [2],
+                       slot_assignment=draw(_slot_assignments(valence)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,6 +383,64 @@ def test_rank_mod_p_matches_dense_oracle_on_random_trees(model):
     dense = np.array(mat.to_dense(), dtype=object)
     for p in (2, 3, 5, 7):
         assert rank_mod_p(mat, p) == oracle_rank_dense(dense % p, p)
+
+
+def _ranks_off_j(model):
+    """`rank_mod_p` of the assembled matrix at 2, 3, 5 and 7, except j."""
+    mat = assemble_matrix(model)
+    return {p: rank_mod_p(mat, p) for p in (2, 3, 5, 7) if p != model.j}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_trees(), st.data())
+def test_ranks_invariant_under_relabeling_on_random_trees(tree, data):
+    vertices, edges, _, j = tree
+    relabeled = (data.draw(st.permutations(vertices))
+                 + data.draw(st.permutations(edges)))
+    g, h = (parse_graph("".join(lines)) for lines in (vertices + edges,
+                                                      relabeled))
+    assert _ranks_off_j(build_model(h, j, [2])) == \
+        _ranks_off_j(build_model(g, j, [2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_trees(), st.data())
+def test_ranks_invariant_under_slot_choice_on_random_trees(tree, data):
+    vertices, edges, valence, j = tree
+    g = parse_graph("".join(vertices + edges))
+    slots = data.draw(_slot_assignments(valence))
+    assert _ranks_off_j(build_model(g, j, [2], slot_assignment=slots)) == \
+        _ranks_off_j(build_model(g, j, [2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_tree_models())
+def test_modular_ranks_bounded_by_rational_rank_on_random_trees(model):
+    """h1 mod p >= h1 over Q: no rank mod p, candidate or not, exceeds
+    the rational rank."""
+    mat = assemble_matrix(model)
+    rank_q = prove_rank_over_Q(mat, (2, 3, 5, 7)).rank_q
+    assert rank_q <= min(mat.nrows, mat.ncols)
+    for p in (2, 3, 5, 7, 11, 13):
+        assert rank_mod_p(mat, p) <= rank_q
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_tree_models())
+def test_zero_column_drop_matches_unique_on_random_trees(model):
+    """The drop keeps the columns `np.unique` finds in the full matrix,
+    renumbered in order, entry for entry."""
+    full = assemble_matrix(model, drop_zero_columns=False)
+    kept = np.unique(full.col)
+    mat = assemble_matrix(model)
+    assert (mat.nrows, mat.ncols) == (full.nrows, kept.size)
+    assert mat.col.tolist() == np.searchsorted(kept, full.col).tolist()
+    for name in ("row", "base", "bin_n", "bin_k"):
+        assert getattr(mat, name).tolist() == getattr(full, name).tolist()
+    every = enumerate_generators(model, drop_zero_columns=False)
+    assert enumerate_generators(model) == [
+        dataclasses.replace(every[c], index=i)
+        for i, c in enumerate(kept.tolist())]
 
 
 # ---------------------------------------------------------------------------

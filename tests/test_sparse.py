@@ -11,12 +11,13 @@ from tautcheck.linalg import rank_mod_p
 from tautcheck.sparse import (
     SparseIntMatrix,
     SparseMatrixError,
-    compress_ids,
     matrix_from_text,
     matrix_to_text,
     read_matrix_text,
     write_matrix_text,
 )
+
+from rank_oracle import oracle_rank_dense
 
 
 def _factored(nrows, ncols, quads):
@@ -54,14 +55,32 @@ def test_factored_values_are_exact():
     assert m.to_dense() == [[630, 0], [0, -1]]
 
 
-def test_huge_values_round_trip_via_big_table():
-    v = -(10**80 + 7)
-    m = SparseIntMatrix.from_coo(1, 2, [(0, 1, v), (0, 0, 2)])
-    assert m.to_dense() == [[2, v]]
-    # mod-p reduction picks up the big entry exactly
-    rows, cols, vals = m.arrays_mod(97)
-    got = {(int(r), int(c)): int(x) for r, c, x in zip(rows, cols, vals)}
-    assert got == {(0, 0): 2, (0, 1): v % 97}
+def test_huge_literal_values_stay_exact():
+    """Values at and beyond the int64 limits keep their exact value on
+    every route; those beyond make `base` an object array."""
+    for v in ((1 << 63) - 1, 1 << 63, -(1 << 63), -(1 << 63) - 1, 10**80):
+        triples = [(0, 1, v), (0, 0, 2), (1, 1, -3)]
+        m = SparseIntMatrix.from_coo(2, 2, triples)
+        fits = -(1 << 63) <= v < 1 << 63
+        assert m.base.dtype == (np.int64 if fits else object)
+        assert m.value(0) == v
+        assert m.to_dense() == [[2, v], [0, -3]]
+        back = matrix_from_text(matrix_to_text(m))
+        assert back.base.dtype == m.base.dtype
+        assert back.to_dense() == m.to_dense()
+        assert matrix_to_text(back) == matrix_to_text(m)
+        for p in (2, 3, 97, 2_147_483_629):
+            assert _residues(m, p) == sorted((r, c, x % p)
+                                             for r, c, x in triples if x % p)
+            dense = np.array(m.to_dense(), dtype=object) % p
+            assert rank_mod_p(m, p) == oracle_rank_dense(dense, p)
+
+
+def test_from_coo_accepts_an_empty_iterator():
+    m = SparseIntMatrix.from_coo(2, 2, iter(()))
+    assert m.nnz == 0 and m.base.dtype == np.int64
+    assert m.to_dense() == [[0, 0], [0, 0]]
+    assert rank_mod_p(m, 2) == 0
 
 
 def test_canonical_order_is_row_major():
@@ -105,29 +124,18 @@ def test_duplicates_found_at_large_coordinates():
                                         (m - 1, n - 2, 3)])
 
 
-@pytest.mark.parametrize("nnz, big", [
-    (2, {5: 7}),
-    (2, {2: 7}),
-    (2, {-1: 5}),
-    (0, {0: 5}),
-])
-def test_big_index_outside_the_entries_rejected(nnz, big):
-    ones = [1] * nnz
-    with pytest.raises(SparseMatrixError, match="big-table index"):
-        SparseIntMatrix(2, 2, range(nnz), range(nnz), ones, ones, ones, big)
-
-
 @st.composite
 def _shuffled_triples(draw):
     """(nrows, ncols, triples, a permutation of the triples); one value is
-    at least 2^62 in magnitude, so it lands in the big table."""
+    at least 2^31 in magnitude, inside int64 or beyond it."""
     nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     cells = draw(st.lists(st.tuples(st.integers(0, nrows - 1),
                                     st.integers(0, ncols - 1)),
                           min_size=1, max_size=nrows * ncols, unique=True))
     values = draw(st.lists(st.integers(-40, 40).filter(bool),
                            min_size=len(cells), max_size=len(cells)))
-    huge = draw(st.integers(1 << 62, 1 << 80))
+    huge = draw(st.one_of(st.integers(1 << 31, 1 << 63),
+                          st.integers(1 << 63, 1 << 80)))
     values[draw(st.integers(0, len(cells) - 1))] = draw(
         st.sampled_from([huge, -huge]))
     triples = [(r, c, v) for (r, c), v in zip(cells, values)]
@@ -144,7 +152,9 @@ def test_entry_order_changes_no_result(case):
     nrows, ncols, triples, shuffled = case
     given_order = SparseIntMatrix.from_coo(nrows, ncols, triples)
     m = SparseIntMatrix.from_coo(nrows, ncols, shuffled)
-    assert len(m.big) == 1
+    fits = all(-(1 << 63) <= v < 1 << 63 for _, _, v in triples)
+    assert m.base.dtype == given_order.base.dtype == \
+        (np.int64 if fits else object)
     assert matrix_to_text(m) == matrix_to_text(given_order)
     dense = [[0] * ncols for _ in range(nrows)]
     for r, c, v in triples:
@@ -154,18 +164,6 @@ def test_entry_order_changes_no_result(case):
         expect = sorted((r, c, v % p) for r, c, v in triples if v % p)
         assert _residues(m, p) == _residues(given_order, p) == expect
         assert rank_mod_p(m, p) == rank_mod_p(given_order, p)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(
-    st.integers(0, max(n - 1, 0)), max_size=60 if n else 0))))
-def test_compress_ids_matches_unique(case):
-    n, ids = case
-    ids = np.array(ids, dtype=np.int64)
-    got, count = compress_ids(ids, n)
-    distinct, inverse = np.unique(ids, return_inverse=True)
-    assert got.tolist() == inverse.tolist()
-    assert count == distinct.size
 
 
 # ---------------------------------------------------------------------------
