@@ -9,8 +9,8 @@ obstruction dimension h1 per characteristic together with the bad primes.
 __version__ = "0.1.0"
 
 from .graph import (DualGraph, GraphError, VertexData, intersection_matrix,
-                    is_connected, is_negative_definite, is_potentially_taut,
-                    parse_graph, preset_graph, serialize_graph)
+                    is_connected, is_negative_definite, parse_graph,
+                    preset_graph, serialize_graph)
 from .cycles import (CyclesError, MultiplicityPlan, anti_ample_cycle,
                      choose_j, exhaustive_tau_min, fundamental_cycle,
                      greedy_tau, is_anti_ample, make_coprime_to_all,
@@ -19,16 +19,16 @@ from .cycles import (CyclesError, MultiplicityPlan, anti_ample_cycle,
 from .sparse import (SparseIntMatrix, SparseMatrixError, matrix_from_text,
                      matrix_to_text, read_matrix_text, write_matrix_text)
 from .plumbing import (GeneratorColumn, IntersectionPoint, PlumbingError,
-                       PlumbingModel, RowIndex, assemble_matrix, build_model,
+                       PlumbingModel, assemble_matrix, build_model,
                        enumerate_generators, estimate_assembly,
-                       expand_at_point, row_space)
+                       expand_at_point)
 from .linalg import (LinalgError, is_probable_prime, next_prime,
                      prove_rank_over_Q, rank_mod_p)
 
 __all__ = [
     "DualGraph", "GraphError", "VertexData", "intersection_matrix",
-    "is_connected", "is_negative_definite", "is_potentially_taut",
-    "parse_graph", "preset_graph", "serialize_graph",
+    "is_connected", "is_negative_definite", "parse_graph", "preset_graph",
+    "serialize_graph",
     "CyclesError", "MultiplicityPlan", "anti_ample_cycle", "choose_j",
     "exhaustive_tau_min", "fundamental_cycle", "greedy_tau", "is_anti_ample",
     "make_coprime_to_all", "significant_multiplicity_to_all",
@@ -36,8 +36,8 @@ __all__ = [
     "SparseIntMatrix", "SparseMatrixError", "matrix_from_text",
     "matrix_to_text", "read_matrix_text", "write_matrix_text",
     "GeneratorColumn", "IntersectionPoint", "PlumbingError", "PlumbingModel",
-    "RowIndex", "assemble_matrix", "build_model", "enumerate_generators",
-    "estimate_assembly", "expand_at_point", "row_space",
+    "assemble_matrix", "build_model", "enumerate_generators",
+    "estimate_assembly", "expand_at_point",
     "LinalgError", "is_probable_prime", "next_prime", "prove_rank_over_Q",
     "rank_mod_p",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 
@@ -101,6 +102,11 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         label = preset.strip().upper().replace("_", "")
     else:
         g = graph
+    primes = list(primes)
+    for p in primes:                 # refused, not truncated by int()
+        if not isinstance(p, numbers.Integral):
+            raise ValueError(f"candidate characteristic {p!r} is not an "
+                             f"integer")
     primes = sorted({int(p) for p in primes})
     if not primes:
         raise ValueError("need at least one candidate prime")
@@ -162,8 +168,8 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         return (report, model, None) if return_objects else report
     if est["assembly_peak_bytes"] >= _FOOTPRINT_NOTE_BYTES:
         sys.stderr.write(
-            f"assembling {est['rows']} x {est['candidate_columns']} window "
-            f"matrix: ~{est['nnz']} entries, estimated peak "
+            f"assembling {model.row_count} x {est['candidate_columns']} "
+            f"window matrix: ~{est['nnz']} entries, estimated peak "
             f"{est['assembly_peak_bytes']} bytes\n")
         sys.stderr.flush()
 

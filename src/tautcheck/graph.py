@@ -246,11 +246,6 @@ def is_negative_definite(g: DualGraph | list[list[int]]) -> bool:
                for k, det in enumerate(minors, start=1))
 
 
-def is_potentially_taut(g: DualGraph) -> bool:
-    """True when every vertex has genus 0 and valence at most 3."""
-    return not potential_tautness_violations(g)
-
-
 def admissibility_violations(g: DualGraph) -> list[str]:
     """Why the analysis must refuse the graph: no vertices, not
     connected, not negative definite, or the genus/valence violations.
@@ -290,10 +285,6 @@ _PRESET_CYCLES = {
     "E7": (18, 35, 51, 26, 40, 28, 15),
     "E8": (46, 91, 135, 68, 110, 84, 57, 29),
 }
-
-
-def preset_names() -> list[str]:
-    return ["A<n>"] + sorted(_PRESET_CYCLES)
 
 
 def preset_graph(name: str) -> tuple[DualGraph, tuple[int, ...] | None]:

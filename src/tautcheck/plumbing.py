@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .graph import DualGraph, admissibility_violations
-from .linalg import is_probable_prime
+from .linalg import is_probable_prime, is_valid_modulus
 from .sparse import SparseIntMatrix
 
 SLOT0 = "0"
@@ -60,22 +60,6 @@ class IntersectionPoint:
     va: int                  # endpoint vertex indices as declared
     vb: int
     side: int                # canonical side: the smaller vertex index
-    slot_side: str
-    slot_other: str
-    row_offset: int = 0
-
-
-@dataclass
-class RowIndex:
-    """A row of the restriction matrix, in canonical-side coordinates:
-    (kind, e1, e2) is xbar^e1 y^e2 d/dxbar for "dx" rows and
-    xbar^e1 y^e2 d/dy for "dy" rows."""
-
-    index: int
-    point: int
-    kind: str
-    e1: int
-    e2: int
 
 
 @dataclass
@@ -102,8 +86,8 @@ class PlumbingModel:
     nu: list[int]
     incident: list[list[int]]         # per vertex: edge indices, slot order
     slots: list[dict[int, str]]       # per vertex: edge index -> slot
-    points: list[IntersectionPoint] = field(default_factory=list)
-    row_count: int = 0
+    points: list[IntersectionPoint]
+    row_count: int
 
     def occupancy(self, l: int) -> frozenset[str]:
         return frozenset(self.slots[l].values())
@@ -144,8 +128,9 @@ def build_model(g: DualGraph, j: int, primes: list[int],
     if not is_probable_prime(j):
         raise PlumbingError(f"multiplicity j = {j} must be prime")
     for p in primes:
-        if not is_probable_prime(p):
-            raise PlumbingError(f"candidate characteristic {p} is not prime")
+        if not is_valid_modulus(p):
+            raise PlumbingError(f"candidate characteristic {p} is not a "
+                                f"prime below 2^31")
     if j in set(primes):
         raise PlumbingError(f"j = {j} divides a vertex multiplicity in "
                             f"characteristic {j}; pick j outside the "
@@ -173,41 +158,17 @@ def build_model(g: DualGraph, j: int, primes: list[int],
         else:
             chosen = list(_SLOT_ORDER[:len(incident[l])])
         slots.append(dict(zip(incident[l], chosen)))
-    model = PlumbingModel(graph=g, j=j,
-                          nu=[-g.data[v].selfint for v in g.ids],
-                          incident=incident, slots=slots)
-    for ei, (a, b) in enumerate(edge_idx):
-        side, other = (a, b) if a < b else (b, a)
-        model.points.append(IntersectionPoint(
-            index=ei, va=a, vb=b, side=side,
-            slot_side=slots[side][ei], slot_other=slots[other][ei],
-            row_offset=ei * _point_rows(j)))
-    model.row_count = len(edge_idx) * _point_rows(j)
-    return model
+    points = [IntersectionPoint(index=ei, va=a, vb=b, side=min(a, b))
+              for ei, (a, b) in enumerate(edge_idx)]
+    return PlumbingModel(graph=g, j=j, nu=[-g.data[v].selfint for v in g.ids],
+                         incident=incident, slots=slots, points=points,
+                         row_count=len(points) * _point_rows(j))
 
 
 def _point_rows(w: int) -> int:
     """Rows of one point for window size `w`: (w - 1)w dx rows and as
     many dy rows."""
     return 2 * w * (w - 1)
-
-
-def row_space(model: PlumbingModel) -> list[RowIndex]:
-    """All rows in canonical order.  Materializes one object per row;
-    intended for inspection and tests, not for the big workloads."""
-    rows: list[RowIndex] = []
-    n = model.j
-    for pt in model.points:
-        idx = pt.row_offset
-        for s in range(1, n):
-            for t in range(n):
-                rows.append(RowIndex(idx, pt.index, KIND_DX, s, t))
-                idx += 1
-        for u in range(n):
-            for v in range(1, n):
-                rows.append(RowIndex(idx, pt.index, KIND_DY, u, v))
-                idx += 1
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +484,7 @@ def estimate_assembly(model: PlumbingModel) -> dict:
     nnz = sum(int(run.lens.sum())
               for run in _entry_runs(model, model.j, batches))
     return {
-        "rows": model.row_count,
         "candidate_columns": _column_count(batches),
-        "points": len(model.points),
         "nnz": nnz,
         "assembly_peak_bytes": nnz * 96,
     }

@@ -23,6 +23,7 @@ Text format::
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -58,6 +59,15 @@ class SparseIntMatrix:
     def __init__(self, nrows: int, ncols: int, row, col, base, bin_n, bin_k):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
+        # exact ints only: an int dtype at once, anything else one by one
+        # (`int` is tested first; the numbers.Integral test is slow)
+        for what, a in (("row index", row), ("column index", col),
+                        ("value", base), ("binomial", bin_n),
+                        ("binomial", bin_k)):
+            a = np.asarray(a)
+            for v in ([] if a.dtype.kind in "iu" else a.flat):
+                if type(v) is not int and not isinstance(v, numbers.Integral):
+                    raise SparseMatrixError(f"{what} {v!r} is not an integer")
         row = np.asarray(row, dtype=np.int64)
         col = np.asarray(col, dtype=np.int64)
         try:
@@ -93,14 +103,9 @@ class SparseIntMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def empty(cls, nrows: int, ncols: int) -> "SparseIntMatrix":
-        z = np.zeros(0, dtype=np.int64)
-        return cls(nrows, ncols, z, z, z, z, z)
-
-    @classmethod
     def from_coo(cls, nrows: int, ncols: int,
                  triples) -> "SparseIntMatrix":
-        """Build from (row, col, value) triples with exact int values."""
+        """Build from (row, col, value) triples of exact ints (or none)."""
         t = np.array(list(triples), dtype=object).reshape(-1, 3)
         z = np.zeros(len(t), dtype=np.int32)
         return cls(nrows, ncols, t[:, 0], t[:, 1], t[:, 2], z, z)

@@ -4,13 +4,16 @@ Covers report content, refusal paths, exit codes, export, determinism,
 and invariance of the results under relabeling of the input graph.
 """
 
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tautcheck
@@ -148,6 +151,16 @@ def test_analyze_custom_primes():
 def test_analyze_empty_primes_rejected():
     with pytest.raises(ValueError):
         analyze(preset="D4", primes=[])
+
+
+def test_analyze_non_integral_primes_rejected():
+    """A candidate that is not an integer is refused, not truncated."""
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"candidate characteristic {bad!r} is not an integer")):
+            analyze(preset="D4", primes=[bad, 3])
+    r = analyze(preset="A2", primes=[np.int64(3), 2], j=5)
+    assert list(r["results"]) == ["q", "p2", "p3"]
 
 
 def test_analyze_certified_small_model():
@@ -488,3 +501,41 @@ def test_footprint_note_above_threshold(monkeypatch, capsys):
     assert code == 0
     assert "estimated peak" in err
     assert "660" in err
+
+
+# ---------------------------------------------------------------------------
+# README
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(after: str, lang: str = "") -> str:
+    """The first fenced block in README.md after the text `after`."""
+    text = _README.read_text()
+    opening = "```" + lang + "\n"
+    start = text.index(opening, text.index(after)) + len(opening)
+    return text[start:text.index("```\n", start)]
+
+
+def test_readme_d4_report_is_current():
+    assert (_readme_block("`analyze --preset D4` prints:")
+            == render_text(analyze(preset="D4")))
+
+
+def test_readme_library_snippet_runs():
+    """Runs the README's library example; every bare expression in it
+    must equal the value its comment states."""
+    code = _readme_block("## Library use", "python")
+    lines = code.splitlines()
+    ns: dict = {}
+    checked = []
+    for stmt in ast.parse(code).body:
+        src = ast.get_source_segment(code, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(src, ns)
+            continue
+        comment = lines[stmt.lineno - 1].split("#", 1)[1]
+        expected = ast.literal_eval(comment.split(":")[-1].strip())
+        assert eval(src, ns) == expected, src
+        checked.append(expected)
+    assert checked == [(1, 1, 2, 1), 659, (660, 3), [2]]

@@ -12,7 +12,6 @@ from tautcheck.graph import (
     intersection_matrix,
     is_connected,
     is_negative_definite,
-    is_potentially_taut,
     leading_principal_minors,
     parse_graph,
     potential_tautness_violations,
@@ -223,13 +222,11 @@ def test_leading_principal_minors_exact():
 
 def test_potentially_taut_star():
     g, _ = preset_graph("D4")
-    assert is_potentially_taut(g)
     assert potential_tautness_violations(g) == []
 
 
 def test_genus_violation_reported():
     g = parse_graph("vertex a genus=1 selfint=-2\n")
-    assert not is_potentially_taut(g)
     reasons = potential_tautness_violations(g)
     assert len(reasons) == 1 and "genus" in reasons[0]
 
@@ -240,7 +237,6 @@ def test_valence_violation_reported():
         lines.append(f"vertex l{i} genus=0 selfint=-2")
         lines.append(f"edge c l{i}")
     g = parse_graph("\n".join(lines))
-    assert not is_potentially_taut(g)
     reasons = potential_tautness_violations(g)
     assert len(reasons) == 1 and "valence" in reasons[0]
 
@@ -313,4 +309,4 @@ def test_presets_are_potentially_taut_and_negative_definite():
         g, _ = preset_graph(name)
         assert is_connected(g)
         assert is_negative_definite(g)
-        assert is_potentially_taut(g)
+        assert potential_tautness_violations(g) == []

@@ -126,9 +126,9 @@ def test_sample_rank_primes_deterministic():
 def test_rank_identity_and_zero():
     ident = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rank_mod_p(ident, 5) == 3
-    zero = SparseIntMatrix.empty(4, 7)
+    zero = SparseIntMatrix.from_coo(4, 7, ())
     assert rank_mod_p(zero, 5) == 0
-    assert rank_mod_p(SparseIntMatrix.empty(0, 0), 2) == 0
+    assert rank_mod_p(SparseIntMatrix.from_coo(0, 0, ()), 2) == 0
 
 
 def test_rank_mod_p_rejects_bad_modulus():
@@ -215,7 +215,8 @@ def test_rank_over_q_examples():
     for dense, rank in (([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
                         ([[2, 0], [0, 3]], 2)):
         assert prove_rank_over_Q(from_dense(dense), ()).rank_q == rank
-    assert prove_rank_over_Q(SparseIntMatrix.empty(3, 3), ()).rank_q == 0
+    zero = SparseIntMatrix.from_coo(3, 3, ())
+    assert prove_rank_over_Q(zero, ()).rank_q == 0
 
 
 def test_rank_over_q_agreement_with_fraction_oracle():
@@ -293,7 +294,8 @@ def test_prove_rank_leaves_deficient_rank_unproved():
 
 
 def test_prove_rank_of_empty_model_is_trivial():
-    for m in (SparseIntMatrix.empty(0, 0), SparseIntMatrix.empty(0, 5)):
+    for m in (SparseIntMatrix.from_coo(0, 0, ()),
+              SparseIntMatrix.from_coo(0, 5, ())):
         proof = prove_rank_over_Q(m, [2, 3])
         assert (proof.rank_q, proof.certificate_prime) == (0, 2)
         assert proof.ranks == {2: 0, 3: 0}

@@ -17,19 +17,21 @@ from hypothesis import strategies as st
 
 from tautcheck.cli import analyze
 from tautcheck.graph import parse_graph, preset_graph
-from tautcheck.linalg import prove_rank_over_Q, rank_mod_p
+from tautcheck.linalg import next_prime, prove_rank_over_Q, rank_mod_p
 from tautcheck.plumbing import (
     FAMILY_DX,
     FAMILY_DX_EXTRA,
     FAMILY_DY,
     GeneratorColumn,
     PlumbingError,
+    _point_rows,
+    _row_ids,
+    _window_mask,
     assemble_matrix,
     build_model,
     enumerate_generators,
     estimate_assembly,
     expand_at_point,
-    row_space,
 )
 from tautcheck.sparse import read_matrix_text, write_matrix_text
 
@@ -73,6 +75,11 @@ def test_build_model_rejects_bad_inputs():
         build_model(g, 12, [2, 3])          # j not prime
     with pytest.raises(PlumbingError):
         build_model(g, 11, [2, 4])          # candidate not prime
+    # the modulus rule of rank_mod_p: a prime of 2^31 or more is refused
+    assert next_prime(2**31) == 2_147_483_659
+    with pytest.raises(PlumbingError, match="2147483659 is not a prime "
+                                            "below 2\\^31"):
+        build_model(g, 11, [2, next_prime(2**31)])
     genus1 = parse_graph("vertex a genus=1 selfint=-2\n")
     with pytest.raises(PlumbingError):
         build_model(genus1, 11, [2])
@@ -136,19 +143,21 @@ def test_row_count_large_presets_without_assembly():
     assert m.row_count == 126072
 
 
-def test_row_space_layout():
-    g, _ = preset_graph("A2")
-    m = build_model(g, 5, [2, 3])
-    rows = row_space(m)
-    assert len(rows) == m.row_count == 40
-    assert [r.index for r in rows] == list(range(40))
-    dx = [r for r in rows if r.kind == "dx"]
-    dy = [r for r in rows if r.kind == "dy"]
-    assert len(dx) == 4 * 5 and len(dy) == 5 * 4
-    assert {(r.e1, r.e2) for r in dx} == {(s, t) for s in range(1, 5)
-                                          for t in range(5)}
-    assert {(r.e1, r.e2) for r in dy} == {(u, v) for u in range(5)
-                                          for v in range(1, 5)}
+def test_row_ids_layout():
+    """`_row_ids` lays a point window out as j(j - 1) dx rows, then
+    j(j - 1) dy rows; seen from the neighbor side, (kind, e1, e2) is the
+    canonical (other kind, e2, e1)."""
+    j, offset = 5, 3 * _point_rows(5)
+    e1, e2 = np.arange(j).repeat(j), np.tile(np.arange(j), j)
+    half = j * (j - 1)
+    spans = {"dx": range(offset, offset + half),
+             "dy": range(offset + half, offset + 2 * half)}
+    for kind, other in (("dx", "dy"), ("dy", "dx")):
+        keep = _window_mask(kind, e1, e2, j)
+        ids = _row_ids(e1[keep], e2[keep], kind, False, j, offset)
+        assert sorted(ids.tolist()) == list(spans[kind])
+        swapped = _row_ids(e2[keep], e1[keep], other, True, j, offset)
+        assert (swapped == ids).all()
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +301,9 @@ def _row_id_in_test(pt, kind, e1, e2, j):
     """Independent re-derivation of the row layout used by the matrix."""
     if kind == "dx":
         assert 1 <= e1 < j and 0 <= e2 < j
-        return pt.row_offset + (e1 - 1) * j + e2
+        return pt.index * 2 * j * (j - 1) + (e1 - 1) * j + e2
     assert 0 <= e1 < j and 1 <= e2 < j
-    return pt.row_offset + (j - 1) * j + e1 * (j - 1) + (e2 - 1)
+    return pt.index * 2 * j * (j - 1) + (j - 1) * j + e1 * (j - 1) + (e2 - 1)
 
 
 def _rebuild_from_expansions(model, j):
@@ -453,9 +462,8 @@ def test_assemble_star_shape_and_estimate():
     mat = assemble_matrix(m)
     est = estimate_assembly(m)
     assert (mat.nrows, mat.ncols) == (660, 720)
-    assert est["rows"] == 660
+    assert set(est) == {"candidate_columns", "nnz", "assembly_peak_bytes"}
     assert est["candidate_columns"] == 906
-    assert est["points"] == 3
     assert est["nnz"] == mat.nnz
     assert 0 < mat.density < 0.01
 
@@ -504,8 +512,8 @@ def test_unshifted_points_have_small_entries():
     mat = assemble_matrix(m)
     plain_rows = []
     for pt in m.points:
-        if "1" not in (pt.slot_side, pt.slot_other):
-            lo = pt.row_offset
+        if "1" not in (m.slots[pt.va][pt.index], m.slots[pt.vb][pt.index]):
+            lo = pt.index * 2 * m.j * (m.j - 1)
             plain_rows.append((lo, lo + 2 * m.j * (m.j - 1)))
     assert plain_rows
     seen = set()

@@ -42,9 +42,9 @@ def test_from_coo_and_dense_round_trip():
 
 
 def test_empty_matrix():
-    m = SparseIntMatrix.empty(0, 0)
+    m = SparseIntMatrix.from_coo(0, 0, ())
     assert m.nnz == 0 and m.density == 0.0
-    m = SparseIntMatrix.empty(4, 5)
+    m = SparseIntMatrix.from_coo(4, 5, ())
     assert m.to_dense() == [[0] * 5 for _ in range(4)]
 
 
@@ -74,6 +74,9 @@ def test_huge_literal_values_stay_exact():
                                              for r, c, x in triples if x % p)
             dense = np.array(m.to_dense(), dtype=object) % p
             assert rank_mod_p(m, p) == oracle_rank_dense(dense, p)
+    # the constructor keeps an exact int beyond int64 given in a list
+    m = SparseIntMatrix(1, 1, [0], [0], [1 << 63], [0], [0])
+    assert m.base.dtype == object and m.value(0) == 1 << 63
 
 
 def test_from_coo_accepts_an_empty_iterator():
@@ -93,11 +96,30 @@ def test_canonical_order_is_row_major():
     ([(0, 3, 1)], "out of range"),
     ([(3, 0, 1)], "out of range"),
     ([(0, 0, 0)], "zero"),
+    # a float is refused, not truncated (0.5 is not a zero entry)
+    ([(0.7, 1, 2)], "row index 0.7 is not an integer"),
+    ([(0, 1.2, 2)], "column index 1.2 is not an integer"),
+    ([(0, 1, 2.5)], "value 2.5 is not an integer"),
+    ([(0, 1, 0.5)], "value 0.5 is not an integer"),
+    ([(0, 1, 2.0)], "value 2.0 is not an integer"),
+    ([(0, 1, "3")], "value '3' is not an integer"),
 ])
 def test_construction_errors(triples, err):
     with pytest.raises(SparseMatrixError) as e:
         SparseIntMatrix.from_coo(3, 3, triples)
     assert err in str(e.value)
+
+
+def test_constructor_rejects_float_arrays():
+    ints = {"row": [0], "col": [1], "base": [3], "bin_n": [2], "bin_k": [1]}
+    for field, v in ints.items():
+        floats = {**ints, field: np.array([v[0] + 0.9])}
+        with pytest.raises(SparseMatrixError, match="is not an integer"):
+            SparseIntMatrix(2, 2, **floats)
+    # the same values as integers, numpy or exact, are accepted
+    ints = SparseIntMatrix(2, 2, [np.int32(0)], np.array([1], dtype=np.uint8),
+                           np.array([3], dtype=object), [2], [1])
+    assert ints.to_dense() == [[0, 6], [0, 0]]
 
 
 def test_invalid_binomial_rejected():
@@ -111,7 +133,7 @@ def test_shape_with_2_63_cells_rejected():
         matrix_from_text("4294967296 4294967296 M\n1 1 1\n"
                          "4294967296 4294967296 2\n0 0 0\n")
     with pytest.raises(SparseMatrixError, match="2\\^63"):
-        SparseIntMatrix.empty(1 << 32, 1 << 31)
+        SparseIntMatrix.from_coo(1 << 32, 1 << 31, ())
 
 
 def test_duplicates_found_at_large_coordinates():
@@ -228,7 +250,7 @@ def test_text_format_shape():
 
 
 def test_text_empty_matrix():
-    m = SparseIntMatrix.empty(0, 0)
+    m = SparseIntMatrix.from_coo(0, 0, ())
     assert matrix_to_text(m) == "0 0 M\n0 0 0\n"
     back = matrix_from_text("0 0 M\n0 0 0\n")
     assert back.nrows == back.ncols == back.nnz == 0
