@@ -83,15 +83,13 @@ def _characteristic_result(r_rows: int, rank: int) -> dict:
 def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
             primes=DEFAULT_PRIMES, mode: str = "paper", j: int | None = None,
             mem_cap: int | None = None,
-            export_path: str | None = None, return_objects: bool = False):
+            export_path: str | None = None) -> dict:
     """Run the full tautness analysis; returns the report dict.
 
     Exactly one of `graph` (a DualGraph) and `preset` (a name) must be
     given.  An input whose estimated assembly footprint exceeds `mem_cap`
     bytes (by default the physical memory), or whose estimate itself runs
     out of memory, is refused before assembly.
-    With `return_objects` the (report, model, matrix) triple is returned
-    for further inspection.
     """
     if (graph is None) == (preset is None):
         raise ValueError("pass exactly one of graph= or preset=")
@@ -107,6 +105,8 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         if not isinstance(p, numbers.Integral):
             raise ValueError(f"candidate characteristic {p!r} is not an "
                              f"integer")
+    if j is not None and not isinstance(j, numbers.Integral):
+        raise ValueError(f"multiplicity j = {j!r} is not an integer")
     primes = sorted({int(p) for p in primes})
     if not primes:
         raise ValueError("need at least one candidate prime")
@@ -121,8 +121,7 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     # stage: combinatorial checks
     reasons = admissibility_violations(g)
     if reasons:
-        report = _refusal(base, "graph-checks", reasons)
-        return (report, None, None) if return_objects else report
+        return _refusal(base, "graph-checks", reasons)
 
     # stage: cycles
     fundamental = fundamental_cycle(g)
@@ -150,22 +149,19 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     try:
         model = build_model(g, j_used, primes)
     except PlumbingError as exc:
-        report = _refusal(base, "model", [str(exc)])
-        return (report, None, None) if return_objects else report
+        return _refusal(base, "model", [str(exc)])
 
     try:
         est = estimate_assembly(model)
     except MemoryError:
-        report = _refusal(base, "assembly", [
+        return _refusal(base, "assembly", [
             "estimating the assembly footprint ran out of memory"])
-        return (report, model, None) if return_objects else report
     if mem_cap is None:
         mem_cap = _physical_memory()
     if mem_cap is not None and est["assembly_peak_bytes"] > mem_cap:
-        report = _refusal(base, "assembly", [
+        return _refusal(base, "assembly", [
             f"estimated assembly footprint {est['assembly_peak_bytes']} "
             f"bytes exceeds the memory cap {mem_cap}"])
-        return (report, model, None) if return_objects else report
     if est["assembly_peak_bytes"] >= _FOOTPRINT_NOTE_BYTES:
         sys.stderr.write(
             f"assembling {model.row_count} x {est['candidate_columns']} "
@@ -175,11 +171,6 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
 
     # stage: assembly
     matrix = assemble_matrix(model)
-    pt = len(model.points)
-    _check(matrix.nrows == model.row_count,
-           "assembled rows differ from the model's row count")
-    _check(matrix.nrows == 2 * pt * (j_used * j_used - j_used),
-           "row count is not 2 * points * (j^2 - j)")
     if export_path is not None:
         write_matrix_text(matrix, export_path)
 
@@ -217,7 +208,7 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     }
     report["model"] = {
         "j": j_used,
-        "points": pt,
+        "points": len(model.points),
         "rows": matrix.nrows,
         "columns": matrix.ncols,
         "nnz": matrix.nnz,
@@ -230,7 +221,7 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     report["certified"] = proof.certificate_prime is not None
     report["certificate_prime"] = proof.certificate_prime
     report["notes"] = notes
-    return (report, model, matrix) if return_objects else report
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ from .linalg import next_prime
 # graphs long before it
 _MAX_STEPS = 1_000_000
 
+# largest number of sub-cycles `exhaustive_tau_min` will search
+_STATE_BUDGET = 2_000_000
+
 
 class CyclesError(ValueError):
     """Raised for invalid cycle arguments or exhausted search budgets."""
@@ -87,6 +90,13 @@ def anti_ample_cycle(g: DualGraph) -> tuple[int, ...]:
 # coprimality adjustment
 
 
+def _next_coprime(x: int, q: int) -> int:
+    """Smallest integer >= x coprime to q."""
+    while math.gcd(x, q) != 1:
+        x += 1
+    return x
+
+
 def _coupling_bound(m: list[list[int]]) -> int:
     """t = max_i of E_i . (sum of all other vertices) — the largest
     off-diagonal row sum of the intersection matrix."""
@@ -124,20 +134,13 @@ def make_coprime_to_all(g: DualGraph, z: tuple[int, ...],
     if all(math.gcd(c, q) == 1 for c in z):
         return tuple(z)
 
-    def bump_to_coprime(x: int) -> int:
-        b = 0
-        while math.gcd(x + b, q) != 1:
-            b += 1
-        return b
-
     t = _coupling_bound(intersection_matrix(g))
     m = 1
     while True:
         s = m * t + 1
-        bumps = [bump_to_coprime(s * c) for c in z]
-        m_used = max(bumps)
+        result = tuple(_next_coprime(s * c, q) for c in z)
+        m_used = max(r - s * c for r, c in zip(result, z))
         if s >= m_used * t + 1:
-            result = tuple(s * c + b for c, b in zip(z, bumps))
             if not is_anti_ample(g, result) or \
                     any(math.gcd(c, q) != 1 for c in result):
                 raise CyclesError(f"internal check failed: {result} is not "
@@ -200,8 +203,7 @@ def greedy_tau(g: DualGraph, zbar: tuple[int, ...]) -> tuple[int, list[int]]:
     return (max(recorded) if recorded else 0), beta
 
 
-def exhaustive_tau_min(g: DualGraph, zbar: tuple[int, ...],
-                       state_budget: int = 2_000_000) -> int:
+def exhaustive_tau_min(g: DualGraph, zbar: tuple[int, ...]) -> int:
     """Exact minimum over *all* build sequences of the peak recorded value.
 
     Implemented as a bottleneck shortest path over coefficient vectors
@@ -212,15 +214,15 @@ def exhaustive_tau_min(g: DualGraph, zbar: tuple[int, ...],
     Raises
     ------
     CyclesError
-        When the number of sub-cycles exceeds `state_budget`.
+        When the number of sub-cycles exceeds `_STATE_BUDGET`.
     """
     _check_cycle_arg(g, zbar)
     if any(c < 1 for c in zbar):
         raise CyclesError("exhaustive_tau_min needs a cycle with full support")
     states = math.prod(c + 1 for c in zbar)
-    if states > state_budget:
+    if states > _STATE_BUDGET:
         raise CyclesError(f"search space has {states} sub-cycles "
-                          f"(budget {state_budget})")
+                          f"(budget {_STATE_BUDGET})")
     m = intersection_matrix(g)
     n = g.n
     target = tuple(zbar)
@@ -286,9 +288,7 @@ def significant_multiplicity_to_all(g: DualGraph, zbar: tuple[int, ...],
     else:
         if any(c == 1 for c in zbar):
             nu = max(nu, 2)
-        q = math.prod(set(primes))
-        while math.gcd(nu, q) != 1:
-            nu += 1
+        nu = _next_coprime(nu, math.prod(set(primes)))
     return MultiplicityPlan(lambda_bound=lam, tau=tau, beta_sequence=beta,
                             nu=nu, mode=mode)
 

@@ -17,13 +17,14 @@ reported as a lower bound.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from typing import NamedTuple
 
 import numpy as np
 
-_DEFAULT_SEED = 0x7A07
+_SEED = 0x7A07
 _SAMPLED_PRIMES = 3
 
 
@@ -75,16 +76,22 @@ def next_prime(n: int) -> int:
     return m
 
 
-def sample_rank_primes(trials: int, seed: int = _DEFAULT_SEED) -> list[int]:
-    """`trials` distinct random primes in (2^30, 2^31), deterministic in
-    the seed (fixed default so reports are byte-identical across runs)."""
-    rng = random.Random(seed)
+def sample_rank_primes(trials: int) -> list[int]:
+    """`trials` distinct random primes in (2^30, 2^31), drawn once per
+    process from a fixed seed (so reports are byte-identical across
+    runs); each call returns a fresh list."""
+    return list(_draw_rank_primes(trials))
+
+
+@functools.cache
+def _draw_rank_primes(trials: int) -> tuple[int, ...]:
+    rng = random.Random(_SEED)
     out: list[int] = []
     while len(out) < trials:
         cand = rng.randrange(2**30 + 1, 2**31) | 1
         if cand not in out and is_probable_prime(cand):
             out.append(cand)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

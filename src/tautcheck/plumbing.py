@@ -24,7 +24,6 @@ base * C(n, k) with base one of +-1, +-nu_l.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -226,25 +225,25 @@ class _ColumnBatch:
     b: np.ndarray
 
 
-def _candidate_columns(model: PlumbingModel, cap: int) -> list[_ColumnBatch]:
-    """Per (vertex, family) parameter grids, in canonical column order
-    (vertex, then family dy < dx < dx_extra, then b, then a)."""
+def _candidate_columns(model: PlumbingModel) -> list[_ColumnBatch]:
+    """Per (vertex, family) parameter grids with b below j, in canonical
+    column order (vertex, then family dy < dx < dx_extra, then b, then a)."""
     batches: list[_ColumnBatch] = []
-    col = 0
+    col, j = 0, model.j
     for l in range(model.graph.n):
         nu = model.nu[l]
         occ = model.occupancy(l)
         vanish_one = SLOT1 in occ
         a_lo = 1 if SLOT0 in occ else 0
-        # dy: 1 <= b < cap, 0 <= a <= nu*(b-1)
-        bs = np.arange(1, cap, dtype=np.int64)
+        # dy: 1 <= b < j, 0 <= a <= nu*(b-1)
+        bs = np.arange(1, j, dtype=np.int64)
         lens = nu * (bs - 1) + 1
         b_arr = np.repeat(bs, lens)
         a_arr = _ragged_arange(lens)
         batches.append(_ColumnBatch(l, FAMILY_DY, vanish_one, col, a_arr, b_arr))
         col += int(a_arr.size)
-        # dx: 0 <= b < cap, a_lo <= a <= nu*b + (0 if vanishing at 1 else 1)
-        bs = np.arange(0, cap, dtype=np.int64)
+        # dx: 0 <= b < j, a_lo <= a <= nu*b + (0 if vanishing at 1 else 1)
+        bs = np.arange(0, j, dtype=np.int64)
         a_hi = nu * bs + (0 if vanish_one else 1)
         lens = np.maximum(a_hi - a_lo + 1, 0)
         b_arr = np.repeat(bs, lens)
@@ -253,8 +252,8 @@ def _candidate_columns(model: PlumbingModel, cap: int) -> list[_ColumnBatch]:
         col += int(a_arr.size)
         # dx_extra: present when slot "inf" is unoccupied; one per b
         if SLOTINF not in occ:
-            b_arr = np.arange(0, cap, dtype=np.int64)
-            a_arr = np.zeros(cap, dtype=np.int64)
+            b_arr = np.arange(0, j, dtype=np.int64)
+            a_arr = np.zeros(j, dtype=np.int64)
             batches.append(_ColumnBatch(l, FAMILY_DX_EXTRA, vanish_one, col,
                                         a_arr, b_arr))
             col += int(b_arr.size)
@@ -311,11 +310,12 @@ class _Runs(NamedTuple):
     where: tuple                     # (kind, swap, n, offset)
 
 
-def _entry_runs(model: PlumbingModel, n: int, batches: list[_ColumnBatch]):
-    """Every matrix entry for point windows of size `n`, walked once per
-    (column batch, incident point, chart term) and yielded as `_Runs`
+def _entry_runs(model: PlumbingModel, batches: list[_ColumnBatch]):
+    """Every matrix entry in the point windows of size n = j, walked once
+    per (column batch, incident point, chart term) and yielded as `_Runs`
     blocks.  An unshifted term gives runs of length 0 or 1 with factor
     C(0, 0)."""
+    n = model.j
     for batch in batches:
         l = batch.vertex
         for ei in model.incident[l]:
@@ -355,8 +355,7 @@ def _used_columns(runs, ncols: int) -> np.ndarray:
     return used
 
 
-def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True,
-                    window: int | None = None, b_cap: int | None = None,
+def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True
                     ) -> SparseIntMatrix:
     """Assemble the restriction matrix.
 
@@ -365,14 +364,10 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True,
     materializes a dense row.  Columns are numbered once, on the
     candidate grid: all-zero candidate columns are dropped unless
     `drop_zero_columns` is false, and the rest keep their order.
-    `window` and `b_cap` override the point window size and the
-    generator b-range (used by the truncation-soundness tests); by
-    default both equal j.
     """
-    w = model.j if window is None else window
-    batches = _candidate_columns(model, model.j if b_cap is None else b_cap)
+    batches = _candidate_columns(model)
     ncols = _column_count(batches)
-    runs = [(run, n) for run in _entry_runs(model, w, batches)
+    runs = [(run, n) for run in _entry_runs(model, batches)
             if (n := int(run.lens.sum()))]
     used = (_used_columns((run for run, _ in runs), ncols)
             if drop_zero_columns else np.ones(ncols, dtype=bool))
@@ -394,8 +389,8 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True,
         bin_n[at] = _spread(run.bin_n, run.lens)
         bin_k[at] = _spread(run.bin_k, run.lens) + r
     del runs                 # freed before the key sort
-    return SparseIntMatrix(len(model.points) * _point_rows(w), ncols,
-                           row, col, base, bin_n, bin_k)
+    return SparseIntMatrix(model.row_count, ncols, row, col, base, bin_n,
+                           bin_k)
 
 
 def enumerate_generators(model: PlumbingModel,
@@ -403,18 +398,16 @@ def enumerate_generators(model: PlumbingModel,
                          ) -> list[GeneratorColumn]:
     """The matrix columns (post zero-column drop), canonical order.  The
     drop reads the used columns from one walk of the entries."""
-    batches = _candidate_columns(model, model.j)
-    starts = [b.col_start for b in batches]
-    ids = range(_column_count(batches))
-    if drop_zero_columns:
-        used = _used_columns(_entry_runs(model, model.j, batches), len(ids))
-        ids = np.flatnonzero(used).tolist()
+    batches = _candidate_columns(model)
+    ncols = _column_count(batches)
+    used = (_used_columns(_entry_runs(model, batches), ncols)
+            if drop_zero_columns else np.ones(ncols, dtype=bool))
     columns: list[GeneratorColumn] = []
-    for new_id, old in enumerate(ids):
-        b = batches[bisect.bisect_right(starts, old) - 1]
-        k = old - b.col_start
-        columns.append(GeneratorColumn(new_id, b.vertex, b.family,
-                                       int(b.a[k]), int(b.b[k])))
+    for batch in batches:
+        keep = used[batch.col_start:batch.col_start + batch.a.size]
+        for a, b in zip(batch.a[keep].tolist(), batch.b[keep].tolist()):
+            columns.append(GeneratorColumn(len(columns), batch.vertex,
+                                           batch.family, a, b))
     return columns
 
 
@@ -480,9 +473,8 @@ def estimate_assembly(model: PlumbingModel) -> dict:
     """Exact entry count and a memory estimate without materializing the
     entry arrays.  The count sums the run lengths `assemble_matrix`
     fills (no additive cancellation occurs), so it is the assembled nnz."""
-    batches = _candidate_columns(model, model.j)
-    nnz = sum(int(run.lens.sum())
-              for run in _entry_runs(model, model.j, batches))
+    batches = _candidate_columns(model)
+    nnz = sum(int(run.lens.sum()) for run in _entry_runs(model, batches))
     return {
         "candidate_columns": _column_count(batches),
         "nnz": nnz,

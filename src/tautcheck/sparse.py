@@ -5,8 +5,8 @@ Entries produced by the plumbing assembly all have the shape
 coefficient from the chart shift x -> x+1.  Storing the two factors
 instead of the (potentially hundreds of digits) product keeps the big
 workloads in hundreds of MB instead of GB and makes reduction mod p a
-table lookup.  A literal value that does not fit int64 (from `from_coo`
-or the text format) makes `base` an object array of exact ints instead.
+table lookup.  A value beyond int64 (a literal from `from_coo` or the
+text format, or a uint64) makes `base` an object array of exact ints.
 
 Entries are stored in the order they are given; `entries()` and the
 text format list them in row-major order (row, then column).  No
@@ -41,6 +41,27 @@ def _pascal_mod(nmax: int, p: int) -> np.ndarray:
     return t
 
 
+def _exact_ints(what: str, a, dtype, wide: bool = False) -> np.ndarray:
+    """`a` as a `dtype` array of exact integers, else SparseMatrixError
+    naming `what`; with `wide`, values beyond `dtype` give an object array
+    of exact ints.  An array that has `dtype` already is not scanned."""
+    a = np.asarray(a)
+    if a.dtype == dtype:
+        return a
+    # `int` is tested first; the numbers.Integral test is slow
+    for v in ([] if a.dtype.kind in "iu" else a.flat):
+        if type(v) is not int and not isinstance(v, numbers.Integral):
+            raise SparseMatrixError(f"{what} {v!r} is not an integer")
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    info = np.iinfo(dtype)
+    if info.min <= lo and hi <= info.max:
+        return a.astype(dtype)
+    if not wide:
+        bad = lo if lo < info.min else hi
+        raise SparseMatrixError(f"{what} {bad} does not fit {dtype.__name__}")
+    return np.array([int(v) for v in a.flat], dtype=object)
+
+
 class SparseIntMatrix:
     """Exact integer sparse matrix in coordinate form.
 
@@ -59,23 +80,11 @@ class SparseIntMatrix:
     def __init__(self, nrows: int, ncols: int, row, col, base, bin_n, bin_k):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        # exact ints only: an int dtype at once, anything else one by one
-        # (`int` is tested first; the numbers.Integral test is slow)
-        for what, a in (("row index", row), ("column index", col),
-                        ("value", base), ("binomial", bin_n),
-                        ("binomial", bin_k)):
-            a = np.asarray(a)
-            for v in ([] if a.dtype.kind in "iu" else a.flat):
-                if type(v) is not int and not isinstance(v, numbers.Integral):
-                    raise SparseMatrixError(f"{what} {v!r} is not an integer")
-        row = np.asarray(row, dtype=np.int64)
-        col = np.asarray(col, dtype=np.int64)
-        try:
-            base = np.asarray(base, dtype=np.int64)
-        except OverflowError:
-            base = np.asarray(base, dtype=object)
-        bin_n = np.asarray(bin_n, dtype=np.int32)
-        bin_k = np.asarray(bin_k, dtype=np.int32)
+        row = _exact_ints("row index", row, np.int64)
+        col = _exact_ints("column index", col, np.int64)
+        base = _exact_ints("value", base, np.int64, wide=True)
+        bin_n = _exact_ints("binomial", bin_n, np.int32)
+        bin_k = _exact_ints("binomial", bin_k, np.int32)
         if not (row.size == col.size == base.size == bin_n.size == bin_k.size):
             raise SparseMatrixError("entry arrays disagree in length")
         if self.nrows * self.ncols >= 1 << 63:

@@ -100,21 +100,24 @@ def test_criterion_04_rank_monotonicity_and_chain_tautness():
     # chains of rational -2 curves are taut: h1 = 0 in every characteristic,
     # so the modular ranks all reach the rational rank
     for n in range(1, 7):
-        r, model, matrix = analyze(preset=f"A{n}", j=11,
-                                   return_objects=True)
+        r = analyze(preset=f"A{n}", j=11)
         assert r["status"] == "ok"
         rows = r["model"]["rows"]
         assert rows == 2 * (n - 1) * 110
         for key, res in r["results"].items():
             assert res["h1"] == 0, (n, key)
             assert res["rank"] == rows
-        # independent monotonicity check on the assembled matrix
+        # independent monotonicity check on the matrix analyze assembles
+        g, _ = preset_graph(f"A{n}")
+        matrix = assemble_matrix(build_model(g, 11, [2, 3, 5, 7]))
+        assert (matrix.nrows, matrix.nnz) == (rows, r["model"]["nnz"])
         rq = prove_rank_over_Q(matrix, ()).rank_q
         for p in (2, 3, 5, 7):
             assert rank_mod_p(matrix, p) <= rq
     # monotonicity on rank-deficient models as well
     for preset in ("D4", "E6"):
-        _, _, matrix = analyze(preset=preset, return_objects=True)
+        g, _ = preset_graph(preset)
+        matrix = assemble_matrix(build_model(g, TABLE_J[preset], [2, 3, 5, 7]))
         rq = prove_rank_over_Q(matrix, ()).rank_q
         for p in (2, 3, 5, 7):
             assert rank_mod_p(matrix, p) <= rq
@@ -256,10 +259,12 @@ def test_criterion_07_fundamental_cycle_brute_force():
 
 
 def test_criterion_08_truncation_soundness():
-    """Doubling the exponent window (rows) while extending the generator
-    catalog to the same cap (columns) must not change h1: the rank grows
-    by exactly the number of added rows.  Checked densely with an
-    independent elimination at j = 5 on the two-vertex chains."""
+    """A larger prime j enlarges both the exponent window (rows) and the
+    generator catalog (columns); h1 = rows - rank must not change.
+    Checked densely with an independent elimination on the two-vertex
+    chains at j = 5 against 11, then on a model with a genuine rank drop
+    at p = 2 (D4 at 11 against 23) and on a chain outside the presets at
+    its plan j = 113 against 227."""
     uniform, _ = preset_graph("A2")
     mixed = parse_graph("vertex a genus=0 selfint=-2\n"
                         "vertex b genus=0 selfint=-3\n"
@@ -267,11 +272,9 @@ def test_criterion_08_truncation_soundness():
     # the model is characteristic-free (integer entries); the candidate
     # list only validates j, so ranks may be taken at any prime afterwards
     for g in (uniform, mixed):
-        model = build_model(g, 5, [2, 3])
-        small = assemble_matrix(model)
-        large = assemble_matrix(model, window=10, b_cap=10)
-        assert small.nrows == 40 and large.nrows == 180
-        extra_rows = large.nrows - small.nrows
+        small = assemble_matrix(build_model(g, 5, [2, 3]))
+        large = assemble_matrix(build_model(g, 11, [2, 3]))
+        assert small.nrows == 40 and large.nrows == 220
         dense_small = small.to_dense()
         dense_large = large.to_dense()
         for p in (2, 3, 5, 7, BIG_PRIME):
@@ -279,19 +282,26 @@ def test_criterion_08_truncation_soundness():
             r_large = oracle_rank_dense(dense_large, p)
             assert rank_mod_p(small, p) == r_small
             assert rank_mod_p(large, p) == r_large
-            assert r_large - r_small == extra_rows, p
+            assert small.nrows - r_small == large.nrows - r_large == 0, p
 
-    # same invariance on a model with a genuine rank drop at p = 2
+    primes = [2, 3, 5, 7]
+    chain = parse_graph("vertex a genus=0 selfint=-3\n"
+                        "vertex b genus=0 selfint=-2\n"
+                        "vertex c genus=0 selfint=-3\n"
+                        "edge a b\nedge b c\n")
+    cycle = make_coprime_to_all(chain, anti_ample_cycle(chain), primes)
+    plan = significant_multiplicity_to_all(chain, cycle, primes)
+    assert choose_j(plan.nu, max(cycle), primes) == 113
     star, _ = preset_graph("D4")
-    model = build_model(star, 11, [2, 3, 5, 7])
-    small = assemble_matrix(model)
-    large = assemble_matrix(model, window=22, b_cap=22)
-    extra_rows = large.nrows - small.nrows
-    for p in (2, 3, 5, 7, BIG_PRIME):
-        drop = small.nrows - rank_mod_p(small, p)
-        assert rank_mod_p(large, p) == large.nrows - drop
-        assert (p == 2) == (drop == 1)
-    assert extra_rows == large.nrows - small.nrows
+    for g, j, rows, big_j, big_rows, h1 in (
+            (star, 11, 660, 23, 3036, {2: 1}),
+            (chain, 113, 50624, 227, 205208, {})):
+        small = assemble_matrix(build_model(g, j, primes))
+        large = assemble_matrix(build_model(g, big_j, primes))
+        assert (small.nrows, large.nrows) == (rows, big_rows)
+        for p in (2, 3, 5, 7, BIG_PRIME):
+            assert small.nrows - rank_mod_p(small, p) == h1.get(p, 0), p
+            assert large.nrows - rank_mod_p(large, p) == h1.get(p, 0), p
 
 
 def test_criterion_09_plan_reproduction():

@@ -142,6 +142,15 @@ def test_analyze_j_override_equal_to_auto_is_silent():
     assert analyze(preset="D4", j=11) == analyze(preset="D4")
 
 
+def test_analyze_non_integral_j_rejected():
+    """A j that is not an integer is refused, not truncated to 11."""
+    for bad in (11.7, 11.0, "11"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"multiplicity j = {bad!r} is not an integer")):
+            analyze(preset="D4", j=bad)
+    assert analyze(preset="D4", j=np.int64(11)) == analyze(preset="D4")
+
+
 def test_analyze_custom_primes():
     r = analyze(preset="D4", primes=[3, 2])
     assert set(r["results"]) == {"q", "p2", "p3"}
@@ -241,13 +250,6 @@ def test_estimate_out_of_memory_is_refused_at_assembly(monkeypatch, capsys):
     code, out, err = _run(capsys, ["analyze", "--preset", "D4"])
     assert code == 2 and err == ""
     assert "status: refused at stage 'assembly'" in out
-
-
-def test_analyze_return_objects():
-    r, model, matrix = analyze(preset="D4", return_objects=True)
-    assert model.j == 11
-    assert matrix.nrows == r["model"]["rows"]
-    assert matrix.nnz == r["model"]["nnz"]
 
 
 # ---------------------------------------------------------------------------

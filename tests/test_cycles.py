@@ -319,9 +319,10 @@ def test_exhaustive_tau_never_beats_greedy():
 
 
 def test_exhaustive_tau_budget():
+    """E8's cycle has ~10^14 sub-cycles: refused before any search."""
     g, cyc = preset_graph("E8")
-    with pytest.raises(CyclesError):
-        exhaustive_tau_min(g, cyc, state_budget=1000)
+    with pytest.raises(CyclesError, match="budget 2000000"):
+        exhaustive_tau_min(g, cyc)
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,9 @@ def test_sample_rank_primes_deterministic():
     assert a == b
     assert len(set(a)) == 3
     assert all(2**30 < q < 2**31 and is_probable_prime(q) for q in a)
-    c = sample_rank_primes(3, seed=12345)
-    assert c != a
+    # drawn once, handed out as a fresh list: editing one changes no other
+    a.append(2)
+    assert sample_rank_primes(3) == b and b is not a
 
 
 # ---------------------------------------------------------------------------

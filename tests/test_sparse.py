@@ -103,6 +103,11 @@ def test_canonical_order_is_row_major():
     ([(0, 1, 0.5)], "value 0.5 is not an integer"),
     ([(0, 1, 2.0)], "value 2.0 is not an integer"),
     ([(0, 1, "3")], "value '3' is not an integer"),
+    # too wide an index is a SparseMatrixError (a ValueError `cli.main`
+    # catches), not an OverflowError
+    ([(1 << 70, 0, 1)], "row index 1180591620717411303424 does not fit int64"),
+    ([(0, -(1 << 70), 1)],
+     "column index -1180591620717411303424 does not fit int64"),
 ])
 def test_construction_errors(triples, err):
     with pytest.raises(SparseMatrixError) as e:
@@ -120,6 +125,36 @@ def test_constructor_rejects_float_arrays():
     ints = SparseIntMatrix(2, 2, [np.int32(0)], np.array([1], dtype=np.uint8),
                            np.array([3], dtype=object), [2], [1])
     assert ints.to_dense() == [[0, 6], [0, 0]]
+
+
+def test_uint64_values_beyond_int64_stay_exact():
+    """Only values fall back to exact ints; a uint64 at or above 2^63
+    used to wrap to a negative int64."""
+    big = np.array([1 << 63, 5], dtype=np.uint64)
+    m = SparseIntMatrix(1, 2, [0, 0], [0, 1], big, [0, 0], [0, 0])
+    assert m.base.dtype == object and m.to_dense() == [[1 << 63, 5]]
+    small = SparseIntMatrix(1, 1, [0], [0], big[1:], [0], [0])
+    assert small.base.dtype == np.int64 and small.to_dense() == [[5]]
+
+
+def test_binomials_beyond_int32_rejected():
+    """An int64 array of binomial arguments used to wrap silently on the
+    cast to int32: n = 2^32 + 5 stored C(5, 2) = 10."""
+    for n in (np.array([(1 << 32) + 5]), [(1 << 32) + 5]):
+        with pytest.raises(SparseMatrixError,
+                           match="binomial 4294967301 does not fit int32"):
+            SparseIntMatrix(1, 1, [0], [0], [1], n, np.array([2]))
+
+
+def test_stored_dtypes_pass_uncopied():
+    """Arrays that already have the stored dtypes, as assembly's do, are
+    kept as given: no scan, no copy."""
+    row, col, base = (np.array([0, 1], dtype=np.int64) for _ in range(3))
+    base += 1
+    bin_n, bin_k = (np.zeros(2, dtype=np.int32) for _ in range(2))
+    m = SparseIntMatrix(2, 2, row, col, base, bin_n, bin_k)
+    stored = (m.row, m.col, m.base, m.bin_n, m.bin_k)
+    assert all(a is b for a, b in zip(stored, (row, col, base, bin_n, bin_k)))
 
 
 def test_invalid_binomial_rejected():
