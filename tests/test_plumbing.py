@@ -468,6 +468,17 @@ def test_assemble_star_shape_and_estimate():
     assert 0 < mat.density < 0.01
 
 
+def test_window_override_enlarges_row_space():
+    """The exponent window is the model's prime j: a larger j gives
+    2 (j^2 - j) rows per point on A2 and more entries."""
+    g, _ = preset_graph("A2")
+    default = assemble_matrix(build_model(g, 5, [2, 3]))
+    big = assemble_matrix(build_model(g, 11, [2, 3]))
+    assert default.nrows == 40
+    assert big.nrows == 2 * (11 * 11 - 11)
+    assert big.nnz > default.nnz
+
+
 _CHAIN_323 = ("vertex a genus=0 selfint=-3\nvertex b genus=0 selfint=-2\n"
               "vertex c genus=0 selfint=-3\nedge a b\nedge b c\n")
 
