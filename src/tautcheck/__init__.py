@@ -18,10 +18,9 @@ from .cycles import (CyclesError, MultiplicityPlan, anti_ample_cycle,
                      vanishing_floor)
 from .sparse import (SparseIntMatrix, SparseMatrixError, matrix_from_text,
                      matrix_to_text, read_matrix_text, write_matrix_text)
-from .plumbing import (GeneratorColumn, IntersectionPoint, PlumbingError,
-                       PlumbingModel, assemble_matrix, build_model,
-                       enumerate_generators, estimate_assembly,
-                       expand_at_point)
+from .plumbing import (GeneratorColumn, PlumbingError, PlumbingModel,
+                       assemble_matrix, build_model, enumerate_generators,
+                       estimate_assembly, expand_at_point)
 from .linalg import (LinalgError, is_probable_prime, next_prime,
                      prove_rank_over_Q, rank_mod_p)
 
@@ -35,7 +34,7 @@ __all__ = [
     "step_vanishing_check", "vanishing_floor",
     "SparseIntMatrix", "SparseMatrixError", "matrix_from_text",
     "matrix_to_text", "read_matrix_text", "write_matrix_text",
-    "GeneratorColumn", "IntersectionPoint", "PlumbingError", "PlumbingModel",
+    "GeneratorColumn", "PlumbingError", "PlumbingModel",
     "assemble_matrix", "build_model", "enumerate_generators",
     "estimate_assembly", "expand_at_point",
     "LinalgError", "is_probable_prime", "next_prime", "prove_rank_over_Q",

@@ -12,8 +12,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .graph import (DualGraph, GraphError, intersection_matrix, is_connected,
-                    is_negative_definite)
+from .graph import (DualGraph, GraphError, VertexData, intersection_matrix,
+                    is_connected, is_negative_definite)
 from .linalg import next_prime
 
 # safety bound on the Laufer iterations; they terminate on negative-definite
@@ -153,14 +153,17 @@ def make_coprime_to_all(g: DualGraph, z: tuple[int, ...],
 # twist-selection plan
 
 
+def _vanishing_terms(d: VertexData) -> tuple[int, int]:
+    """The vertex terms of the two vanishing conditions: 2(2g-2) and
+    2g-2-E^2."""
+    return 2 * (2 * d.genus - 2), 2 * d.genus - 2 - d.selfint
+
+
 def vanishing_floor(g: DualGraph) -> int:
     """Smallest twist bound from the per-vertex vanishing conditions:
     max over vertices of {0, 2(2g-2), 2g-2-E^2}."""
-    best = 0
-    for vid in g.ids:
-        d = g.data[vid]
-        best = max(best, 2 * (2 * d.genus - 2), 2 * d.genus - 2 - d.selfint)
-    return best
+    return max([0] + [t for vid in g.ids
+                      for t in _vanishing_terms(g.data[vid])])
 
 
 def greedy_tau(g: DualGraph, zbar: tuple[int, ...]) -> tuple[int, list[int]]:
@@ -316,9 +319,6 @@ def step_vanishing_check(g: DualGraph, c: tuple[int, ...],
     i = g.index(l0) if isinstance(l0, str) else l0
     if not (0 <= i < g.n):
         raise GraphError(f"vertex index {i} out of range")
-    m = intersection_matrix(g)
-    ec = sum(m[i][j] * c[j] for j in range(g.n))
-    d = g.data[g.ids[i]]
-    cond1 = 2 * (2 * d.genus - 2) + ec < 0
-    cond2 = (2 * d.genus - 2 - d.selfint) + ec < 0
-    return cond1, cond2
+    ec = _pairing(intersection_matrix(g), c)[i]
+    t1, t2 = _vanishing_terms(g.data[g.ids[i]])
+    return t1 + ec < 0, t2 + ec < 0

@@ -287,6 +287,15 @@ _PRESET_CYCLES = {
 }
 
 
+# per family: the fixed edges, then the first vertex of the chain
+# first, first + 1, ..., n (vertices numbered from 1)
+_PRESET_TREES = {
+    "A": ((), 1),
+    "D": (((1, 3), (2, 3)), 3),
+    "E": (((1, 2), (2, 3), (3, 4), (3, 5)), 5),
+}
+
+
 def preset_graph(name: str) -> tuple[DualGraph, tuple[int, ...] | None]:
     """Built-in graphs: chains A<n> and the branched trees D4..D7, E6..E8.
 
@@ -305,40 +314,18 @@ def preset_graph(name: str) -> tuple[DualGraph, tuple[int, ...] | None]:
     (DualGraph, tuple or None)
     """
     key = name.strip().upper().replace("_", "")
+    m = re.fullmatch(r"([ADE])(\d+)", key)
+    if m is None or (m[1] != "A" and key not in _PRESET_CYCLES):
+        raise GraphError(f"unknown preset {name!r} "
+                         f"(available: A<n>, D4, D5, D6, D7, E6, E7, E8)")
+    n = int(m[2])
+    if n < 1:
+        raise GraphError(f"preset {name!r}: chain length must be >= 1")
+    fixed, first = _PRESET_TREES[m[1]]
+    v = m[1].lower()
     g = DualGraph()
-    am = re.fullmatch(r"A(\d+)", key)
-    if am:
-        n = int(am.group(1))
-        if n < 1:
-            raise GraphError(f"preset {name!r}: chain length must be >= 1")
-        for i in range(1, n + 1):
-            g.add_vertex(f"a{i}", 0, -2)
-        for i in range(1, n):
-            g.add_edge(f"a{i}", f"a{i + 1}")
-        return g, ((1,) if n == 1 else None)
-    dm = re.fullmatch(r"D(\d+)", key)
-    if dm and key in _PRESET_CYCLES:
-        n = int(dm.group(1))
-        for i in range(1, n + 1):
-            g.add_vertex(f"d{i}", 0, -2)
-        # two leaves on the central vertex d3, then a chain d3-d4-...-dn
-        g.add_edge("d1", "d3")
-        g.add_edge("d2", "d3")
-        for i in range(3, n):
-            g.add_edge(f"d{i}", f"d{i + 1}")
-        return g, _PRESET_CYCLES[key]
-    em = re.fullmatch(r"E(\d+)", key)
-    if em and key in _PRESET_CYCLES:
-        n = int(em.group(1))
-        for i in range(1, n + 1):
-            g.add_vertex(f"e{i}", 0, -2)
-        # chain e1-e2-e3, branch e3-e4, then a chain e3-e5-...-en
-        g.add_edge("e1", "e2")
-        g.add_edge("e2", "e3")
-        g.add_edge("e3", "e4")
-        g.add_edge("e3", "e5")
-        for i in range(5, n):
-            g.add_edge(f"e{i}", f"e{i + 1}")
-        return g, _PRESET_CYCLES[key]
-    raise GraphError(f"unknown preset {name!r} "
-                     f"(available: A<n>, D4, D5, D6, D7, E6, E7, E8)")
+    for i in range(1, n + 1):
+        g.add_vertex(f"{v}{i}", 0, -2)
+    for a, b in fixed + tuple((i, i + 1) for i in range(first, n)):
+        g.add_edge(f"{v}{a}", f"{v}{b}")
+    return g, _PRESET_CYCLES.get(key, (1,) if n == 1 else None)

@@ -52,22 +52,12 @@ class PlumbingError(ValueError):
 
 
 @dataclass
-class IntersectionPoint:
-    """One edge of the graph, seen as a plumbing intersection point."""
-
-    index: int
-    va: int                  # endpoint vertex indices as declared
-    vb: int
-    side: int                # canonical side: the smaller vertex index
-
-
-@dataclass
 class GeneratorColumn:
     """A generator section on `vertex`; families are "dy" (sections of
-    the y-derivation catalog, parameters 1 <= b, 0 <= a <= nu(b-1)),
-    "dx" (x-derivation catalog, 0 <= b, a up to nu*b + 1 depending on
-    slot occupancy) and "dx_extra" (the one-per-b section hidden in the
-    second chart, present when slot "inf" is free)."""
+    the y-derivation catalog), "dx" (x-derivation catalog) and
+    "dx_extra" (the one-per-b section hidden in the second chart,
+    present when slot "inf" is free).  The (a, b) ranges of each family
+    are the grid rows of `_candidate_columns`."""
 
     index: int | None
     vertex: int
@@ -83,22 +73,16 @@ class PlumbingModel:
     graph: DualGraph
     j: int
     nu: list[int]
-    incident: list[list[int]]         # per vertex: edge indices, slot order
-    slots: list[dict[int, str]]       # per vertex: edge index -> slot
-    points: list[IntersectionPoint]
+    slots: list[dict[int, str]]       # per vertex: edge index -> slot,
+                                      # keys in incident order
+    points: list[tuple[int, int]]     # per edge: its endpoints as declared
     row_count: int
 
     def occupancy(self, l: int) -> frozenset[str]:
         return frozenset(self.slots[l].values())
 
     def neighbors(self, l: int) -> set[int]:
-        out = set()
-        for a, b in self.graph.edge_indices():
-            if a == l:
-                out.add(b)
-            elif b == l:
-                out.add(a)
-        return out
+        return {a + b - l for a, b in self.points if l in (a, b)}
 
 
 def build_model(g: DualGraph, j: int, primes: list[int],
@@ -134,33 +118,28 @@ def build_model(g: DualGraph, j: int, primes: list[int],
         raise PlumbingError(f"j = {j} divides a vertex multiplicity in "
                             f"characteristic {j}; pick j outside the "
                             f"candidate primes")
-    n = g.n
-    edge_idx = g.edge_indices()
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for ei, (a, b) in enumerate(edge_idx):
+    points = g.edge_indices()
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for ei, (a, b) in enumerate(points):
         incident[a].append(ei)
         incident[b].append(ei)
-    for l in range(n):
-        incident[l].sort(key=lambda ei: (edge_idx[ei][0] + edge_idx[ei][1] - l,
-                                         ei))
     slots: list[dict[int, str]] = []
-    for l in range(n):
+    for l, eis in enumerate(incident):
+        eis.sort(key=lambda ei: (sum(points[ei]) - l, ei))
         if slot_assignment is not None and l in slot_assignment:
             chosen = list(slot_assignment[l])
-            if len(chosen) != len(incident[l]):
+            if len(chosen) != len(eis):
                 raise PlumbingError(f"vertex {l}: slot assignment needs "
-                                    f"{len(incident[l])} slots")
+                                    f"{len(eis)} slots")
             if len(set(chosen)) != len(chosen) or \
                     not set(chosen) <= set(_SLOT_ORDER):
                 raise PlumbingError(f"vertex {l}: slots must be distinct "
                                     f"members of {_SLOT_ORDER}")
         else:
-            chosen = list(_SLOT_ORDER[:len(incident[l])])
-        slots.append(dict(zip(incident[l], chosen)))
-    points = [IntersectionPoint(index=ei, va=a, vb=b, side=min(a, b))
-              for ei, (a, b) in enumerate(edge_idx)]
+            chosen = list(_SLOT_ORDER[:len(eis)])
+        slots.append(dict(zip(eis, chosen)))
     return PlumbingModel(graph=g, j=j, nu=[-g.data[v].selfint for v in g.ids],
-                         incident=incident, slots=slots, points=points,
+                         slots=slots, points=points,
                          row_count=len(points) * _point_rows(j))
 
 
@@ -226,37 +205,27 @@ class _ColumnBatch:
 
 
 def _candidate_columns(model: PlumbingModel) -> list[_ColumnBatch]:
-    """Per (vertex, family) parameter grids with b below j, in canonical
-    column order (vertex, then family dy < dx < dx_extra, then b, then a)."""
+    """Per (vertex, family) parameter grids in canonical column order
+    (vertex, then family dy < dx < dx_extra, then b, then a).  Each
+    family is one grid row (family, b_lo, a_lo, slope, intercept) holding
+    b_lo <= b < j and a_lo <= a <= slope*b + intercept; dx_extra exists
+    only while slot "inf" is free."""
     batches: list[_ColumnBatch] = []
     col, j = 0, model.j
-    for l in range(model.graph.n):
-        nu = model.nu[l]
+    for l, nu in enumerate(model.nu):
         occ = model.occupancy(l)
         vanish_one = SLOT1 in occ
-        a_lo = 1 if SLOT0 in occ else 0
-        # dy: 1 <= b < j, 0 <= a <= nu*(b-1)
-        bs = np.arange(1, j, dtype=np.int64)
-        lens = nu * (bs - 1) + 1
-        b_arr = np.repeat(bs, lens)
-        a_arr = _ragged_arange(lens)
-        batches.append(_ColumnBatch(l, FAMILY_DY, vanish_one, col, a_arr, b_arr))
-        col += int(a_arr.size)
-        # dx: 0 <= b < j, a_lo <= a <= nu*b + (0 if vanishing at 1 else 1)
-        bs = np.arange(0, j, dtype=np.int64)
-        a_hi = nu * bs + (0 if vanish_one else 1)
-        lens = np.maximum(a_hi - a_lo + 1, 0)
-        b_arr = np.repeat(bs, lens)
-        a_arr = _ragged_arange(lens) + a_lo
-        batches.append(_ColumnBatch(l, FAMILY_DX, vanish_one, col, a_arr, b_arr))
-        col += int(a_arr.size)
-        # dx_extra: present when slot "inf" is unoccupied; one per b
+        grid = [(FAMILY_DY, 1, 0, nu, -nu),
+                (FAMILY_DX, 0, int(SLOT0 in occ), nu, int(not vanish_one))]
         if SLOTINF not in occ:
-            b_arr = np.arange(0, j, dtype=np.int64)
-            a_arr = np.zeros(j, dtype=np.int64)
-            batches.append(_ColumnBatch(l, FAMILY_DX_EXTRA, vanish_one, col,
-                                        a_arr, b_arr))
-            col += int(b_arr.size)
+            grid.append((FAMILY_DX_EXTRA, 0, 0, 0, 0))
+        for family, b_lo, a_lo, slope, intercept in grid:
+            bs = np.arange(b_lo, j, dtype=np.int64)
+            lens = np.maximum(slope * bs + intercept - a_lo + 1, 0)
+            a = _ragged_arange(lens) + a_lo
+            batches.append(_ColumnBatch(l, family, vanish_one, col, a,
+                                        np.repeat(bs, lens)))
+            col += int(a.size)
     return batches
 
 
@@ -270,7 +239,7 @@ def _point_context(model: PlumbingModel, l: int,
     edge ei's point."""
     slot = model.slots[l][ei]
     return (1 if slot == SLOTINF else 0, slot == SLOT1,
-            model.points[ei].side != l)
+            min(model.points[ei]) != l)
 
 
 def _row_ids(xe: np.ndarray, ye: np.ndarray, kind: str, swap: bool,
@@ -318,7 +287,7 @@ def _entry_runs(model: PlumbingModel, batches: list[_ColumnBatch]):
     n = model.j
     for batch in batches:
         l = batch.vertex
-        for ei in model.incident[l]:
+        for ei in model.slots[l]:
             chart, shifted, swap = _point_context(model, l, ei)
             offset = ei * _point_rows(n)
             for coef, xa, xb, xc, e, yoff, kind in \
@@ -411,29 +380,32 @@ def enumerate_generators(model: PlumbingModel,
     return columns
 
 
-def expand_at_point(col: GeneratorColumn, pt: IntersectionPoint,
+def expand_at_point(col: GeneratorColumn, ei: int,
                     model: PlumbingModel) -> dict[tuple[str, int, int], int]:
-    """Exact expansion of one generator in one point window.
+    """Exact expansion of one generator in the window of the point of
+    edge `ei`.
 
     Returns a map (kind, e1, e2) -> value in canonical-side coordinates.
     Returns {} when the point does not touch the generator's vertex but
     does touch a neighbor (the restriction is zero there); raises
-    PlumbingError when the point is entirely elsewhere.  Components
-    outside the window are dropped (for catalog generators they are
-    fixed contributions, independent of the window).
+    PlumbingError when the point is entirely elsewhere or `ei` is not an
+    edge index.  Components outside the window are dropped (for catalog
+    generators they are fixed contributions, independent of the window).
 
     The descriptor's (a, b) are not range-checked; expanding an
     out-of-range descriptor may hit a negative exponent in the second
     chart, which is an error.
     """
+    if ei not in range(len(model.points)):
+        raise PlumbingError(f"point {ei} is not an edge index of the model")
     l = col.vertex
-    if l not in (pt.va, pt.vb):
-        if pt.va in model.neighbors(l) or pt.vb in model.neighbors(l):
+    if l not in model.points[ei]:
+        if model.neighbors(l) & set(model.points[ei]):
             return {}
-        raise PlumbingError(f"point {pt.index} is not incident to vertex "
+        raise PlumbingError(f"point {ei} is not incident to vertex "
                             f"{l} or its neighbors")
     nu = model.nu[l]
-    chart, shifted, swap = _point_context(model, l, pt.index)
+    chart, shifted, swap = _point_context(model, l, ei)
     vanish_one = SLOT1 in model.occupancy(l)
     out: dict[tuple[str, int, int], int] = {}
 

@@ -78,8 +78,11 @@ class SparseIntMatrix:
     __slots__ = ("nrows", "ncols", "row", "col", "base", "bin_n", "bin_k")
 
     def __init__(self, nrows: int, ncols: int, row, col, base, bin_n, bin_k):
-        self.nrows = int(nrows)
-        self.ncols = int(ncols)
+        shape = _exact_ints("shape", np.array([nrows, ncols], dtype=object),
+                            np.int64).tolist()
+        if min(shape) < 0:
+            raise SparseMatrixError(f"negative shape {shape[0]} x {shape[1]}")
+        self.nrows, self.ncols = shape
         row = _exact_ints("row index", row, np.int64)
         col = _exact_ints("column index", col, np.int64)
         base = _exact_ints("value", base, np.int64, wide=True)
@@ -194,8 +197,6 @@ def matrix_from_text(text: str) -> SparseIntMatrix:
         nrows, ncols = int(head[0]), int(head[1])
     except ValueError:
         raise SparseMatrixError(f"bad header line {lines[0]!r}") from None
-    if nrows < 0 or ncols < 0:
-        raise SparseMatrixError("negative dimensions")
     triples: list[tuple[int, int, int]] = []
     done = False
     for lineno, raw in enumerate(lines[1:], start=2):

@@ -5,6 +5,7 @@ and invariance of the results under relabeling of the input graph.
 """
 
 import ast
+import inspect
 import json
 import math
 import os
@@ -350,6 +351,18 @@ def test_main_unknown_preset_errors(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_star_import_binds_exactly_all():
+    """`from tautcheck import *` binds `__all__`, which names every
+    public non-module name of the package once."""
+    names = {}
+    exec("from tautcheck import *", names)
+    del names["__builtins__"]
+    assert sorted(names) == sorted(tautcheck.__all__)
+    public = {k for k, v in vars(tautcheck).items()
+              if not k.startswith("_") and not inspect.ismodule(v)}
+    assert public == set(names)
 
 
 def test_main_missing_file_errors(capsys):

@@ -12,10 +12,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tautcheck.cli import DEFAULT_PRIMES, analyze
+from tautcheck.cycles import (anti_ample_cycle, choose_j, make_coprime_to_all,
+                              significant_multiplicity_to_all)
 from tautcheck.graph import parse_graph, preset_graph
 from tautcheck.linalg import next_prime, prove_rank_over_Q, rank_mod_p
 from tautcheck.plumbing import (
@@ -99,7 +101,7 @@ def test_build_model_slot_assignment_overrides():
     center = g.index("d3")
     m = build_model(g, 11, [2, 3, 5, 7],
                     slot_assignment={center: ["1", "0", "inf"]})
-    assert m.slots[center][m.incident[center][0]] == "1"
+    assert list(m.slots[center].values())[0] == "1"
     # other vertices keep the default
     assert m.occupancy(g.index("d1")) == {"0"}
 
@@ -229,16 +231,14 @@ def _model_chain_of_two(j=11, primes=(2, 3, 5, 7)):
 
 def test_expand_dy_at_slot0_point():
     g, m = _model_chain_of_two()
-    pt = m.points[0]
     col = GeneratorColumn(None, 0, FAMILY_DY, a=0, b=1)
-    assert expand_at_point(col, pt, m) == {("dy", 0, 1): 1}
+    assert expand_at_point(col, 0, m) == {("dy", 0, 1): 1}
 
 
 def test_expand_dx_at_slot0_point():
     g, m = _model_chain_of_two()
-    pt = m.points[0]
     col = GeneratorColumn(None, 0, FAMILY_DX, a=1, b=0)
-    assert expand_at_point(col, pt, m) == {("dx", 1, 0): 1}
+    assert expand_at_point(col, 0, m) == {("dx", 1, 0): 1}
 
 
 def test_expand_dy_at_slot1_point_binomial():
@@ -247,19 +247,17 @@ def test_expand_dy_at_slot1_point_binomial():
     m = build_model(g, 11, [2, 3, 5, 7])
     center = g.index("d3")
     ei = next(e for e, s in m.slots[center].items() if s == "1")
-    pt = m.points[ei]
-    assert pt.side == center        # canonical side, no swap
+    assert min(m.points[ei]) == center      # canonical side, no swap
     col = GeneratorColumn(None, center, FAMILY_DY, a=1, b=1)
-    assert expand_at_point(col, pt, m) == {("dy", 0, 1): 1, ("dy", 1, 1): 1}
+    assert expand_at_point(col, ei, m) == {("dy", 0, 1): 1, ("dy", 1, 1): 1}
 
 
 def test_expand_swapped_side():
     """On the non-canonical side the cross-gluing exchanges the kind and
     the exponents: y d/dy on the far vertex lands in a dx row."""
     g, m = _model_chain_of_two()
-    pt = m.points[0]
     col = GeneratorColumn(None, 1, FAMILY_DY, a=0, b=1)
-    assert expand_at_point(col, pt, m) == {("dx", 1, 0): 1}
+    assert expand_at_point(col, 0, m) == {("dx", 1, 0): 1}
 
 
 def test_expand_neighbor_only_point_is_zero():
@@ -267,19 +265,26 @@ def test_expand_neighbor_only_point_is_zero():
     m = build_model(g, 5, [2, 3])
     # vertex a1's sections restrict to zero at the far point (a2, a3)
     col = GeneratorColumn(None, 0, FAMILY_DY, a=0, b=1)
-    far = m.points[1]
-    assert (far.va, far.vb) == (1, 2)
-    assert expand_at_point(col, far, m) == {}
+    assert m.points[1] == (1, 2)
+    assert expand_at_point(col, 1, m) == {}
 
 
 def test_expand_unrelated_point_rejected():
     g, _ = preset_graph("A4")
     m = build_model(g, 5, [2, 3])
     col = GeneratorColumn(None, 0, FAMILY_DY, a=0, b=1)
-    far = m.points[2]
-    assert (far.va, far.vb) == (2, 3)
+    assert m.points[2] == (2, 3)
     with pytest.raises(PlumbingError):
-        expand_at_point(col, far, m)
+        expand_at_point(col, 2, m)
+
+
+@pytest.mark.parametrize("ei", [-1, 3, 7])
+def test_expand_edge_index_out_of_range_rejected(ei):
+    g, _ = preset_graph("A4")
+    m = build_model(g, 5, [2, 3])
+    col = GeneratorColumn(None, 0, FAMILY_DY, a=0, b=1)
+    with pytest.raises(PlumbingError, match=f"point {ei} is not an edge"):
+        expand_at_point(col, ei, m)
 
 
 def test_expand_out_of_range_descriptor_errors_in_second_chart():
@@ -287,37 +292,36 @@ def test_expand_out_of_range_descriptor_errors_in_second_chart():
     m = build_model(g, 11, [2, 3, 5, 7])
     center = g.index("d3")
     ei = next(e for e, s in m.slots[center].items() if s == "inf")
-    pt = m.points[ei]
     col = GeneratorColumn(None, center, FAMILY_DY, a=5, b=1)
     with pytest.raises(PlumbingError):
-        expand_at_point(col, pt, m)
+        expand_at_point(col, ei, m)
 
 
 # ---------------------------------------------------------------------------
 # assembly cross-validation
 
 
-def _row_id_in_test(pt, kind, e1, e2, j):
+def _row_id_in_test(ei, kind, e1, e2, j):
     """Independent re-derivation of the row layout used by the matrix."""
     if kind == "dx":
         assert 1 <= e1 < j and 0 <= e2 < j
-        return pt.index * 2 * j * (j - 1) + (e1 - 1) * j + e2
+        return ei * 2 * j * (j - 1) + (e1 - 1) * j + e2
     assert 0 <= e1 < j and 1 <= e2 < j
-    return pt.index * 2 * j * (j - 1) + (j - 1) * j + e1 * (j - 1) + (e2 - 1)
+    return ei * 2 * j * (j - 1) + (j - 1) * j + e1 * (j - 1) + (e2 - 1)
 
 
 def _rebuild_from_expansions(model, j):
     entries = {}
     cols = enumerate_generators(model)
     for col in cols:
-        for pt in model.points:
-            touches = col.vertex in (pt.va, pt.vb)
-            nearby = (pt.va in model.neighbors(col.vertex)
-                      or pt.vb in model.neighbors(col.vertex))
+        for ei, (va, vb) in enumerate(model.points):
+            touches = col.vertex in (va, vb)
+            nearby = (va in model.neighbors(col.vertex)
+                      or vb in model.neighbors(col.vertex))
             if not (touches or nearby):
                 continue
-            for (kind, e1, e2), val in expand_at_point(col, pt, model).items():
-                rid = _row_id_in_test(pt, kind, e1, e2, j)
+            for (kind, e1, e2), val in expand_at_point(col, ei, model).items():
+                rid = _row_id_in_test(ei, kind, e1, e2, j)
                 key = (rid, col.index)
                 entries[key] = entries.get(key, 0) + val
     return {k: v for k, v in entries.items() if v}
@@ -392,6 +396,25 @@ def test_rank_mod_p_matches_dense_oracle_on_random_trees(model):
     dense = np.array(mat.to_dense(), dtype=object)
     for p in (2, 3, 5, 7):
         assert rank_mod_p(mat, p) == oracle_rank_dense(dense % p, p)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_small_trees())
+def test_truncation_soundness_on_random_trees(tree):
+    """h1 at 2, 3, 5 and 7 is the same at the j `analyze` chooses and at
+    the next prime above it, whose model has a larger window and
+    catalog."""
+    vertices, edges, _, _ = tree
+    g = parse_graph("".join(vertices + edges))
+    primes = [2, 3, 5, 7]
+    cycle = make_coprime_to_all(g, anti_ample_cycle(g), primes)
+    plan = significant_multiplicity_to_all(g, cycle, primes)
+    j = choose_j(plan.nu, max(cycle), primes)
+    models = [build_model(g, k, primes) for k in (j, next_prime(j))]
+    assume(estimate_assembly(models[1])["nnz"] <= 300_000)
+    small, large = ([m.row_count - rank_mod_p(assemble_matrix(m), p)
+                     for p in primes] for m in models)
+    assert small == large
 
 
 def _ranks_off_j(model):
@@ -524,9 +547,9 @@ def test_unshifted_points_have_small_entries():
     m = build_model(g, 11, [2, 3, 5, 7])
     mat = assemble_matrix(m)
     plain_rows = []
-    for pt in m.points:
-        if "1" not in (m.slots[pt.va][pt.index], m.slots[pt.vb][pt.index]):
-            lo = pt.index * 2 * m.j * (m.j - 1)
+    for ei, (va, vb) in enumerate(m.points):
+        if "1" not in (m.slots[va][ei], m.slots[vb][ei]):
+            lo = ei * 2 * m.j * (m.j - 1)
             plain_rows.append((lo, lo + 2 * m.j * (m.j - 1)))
     assert plain_rows
     seen = set()

@@ -42,6 +42,9 @@ def _cases() -> dict[str, list[str]]:
                                    "--mode", "strict"]
     cases["valence-4 graph"] = ["analyze", "--graph", "{valence4}"]
     cases["unknown preset D8"] = ["analyze", "--preset", "D8"]
+    cases["unknown preset E5"] = ["analyze", "--preset", "E5"]
+    cases["empty chain A0"] = ["analyze", "--preset", "A0"]
+    cases["spelled a_01"] = ["analyze", "--preset", "a_01"]
     return cases
 
 

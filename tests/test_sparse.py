@@ -115,6 +115,24 @@ def test_construction_errors(triples, err):
     assert err in str(e.value)
 
 
+@pytest.mark.parametrize("shape, err", [
+    # a negative shape used to build a -1 x 2 matrix with density -0.0
+    ((-1, 2), "negative shape -1 x 2"),
+    ((2, -1), "negative shape 2 x -1"),
+    # a float used to be truncated by int(): 2.5 x 3 became 2 x 3
+    ((2.5, 3), "shape 2.5 is not an integer"),
+    ((2, 3.0), "shape 3.0 is not an integer"),
+    ((1 << 70, 1), "shape 1180591620717411303424 does not fit int64"),
+])
+def test_constructor_rejects_bad_shape(shape, err):
+    with pytest.raises(SparseMatrixError) as e:
+        SparseIntMatrix.from_coo(*shape, ())
+    assert err in str(e.value)
+    # numpy integers are exact integers
+    m = SparseIntMatrix.from_coo(np.int64(2), np.uint8(3), ())
+    assert (m.nrows, m.ncols) == (2, 3) and type(m.nrows) is int
+
+
 def test_constructor_rejects_float_arrays():
     ints = {"row": [0], "col": [1], "base": [3], "bin_n": [2], "bin_k": [1]}
     for field, v in ints.items():
@@ -307,6 +325,8 @@ def test_text_accepts_any_entry_order():
     ("2 2 M\n1 1 1\n0 0 0\n1 2 1\n", "after terminator"),
     ("2 2 M\n1 1\n0 0 0\n", "3 fields"),
     ("2 2 M\n1 1 x\n0 0 0\n", "non-integer"),
+    ("-1 2 M\n0 0 0\n", "negative shape -1 x 2"),
+    ("2 -3 M\n0 0 0\n", "negative shape 2 x -3"),
 ])
 def test_text_errors(text, err):
     with pytest.raises(SparseMatrixError) as e:
