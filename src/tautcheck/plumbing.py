@@ -19,7 +19,7 @@ and xbar^u y^v d/dy (0 <= u < j, 1 <= v < j), j the uniform vertex
 multiplicity, so every point has 2j(j - 1) rows.  Columns are generator
 sections of the twisted tangent sheaf of each vertex; entries are the
 exact integer coordinates of their expansions, which all have the form
-base * C(n, k) with base one of +-1, +-nu_l.
+coef * C(n, k) with coef one of +-1, +-nu_l.
 """
 
 from __future__ import annotations
@@ -324,6 +324,16 @@ def _used_columns(runs, ncols: int) -> np.ndarray:
     return used
 
 
+def _binomials(nmax: int, kmax: int) -> np.ndarray:
+    """Exact C(n, k) for 0 <= n <= nmax and 0 <= k <= kmax, from Pascal
+    rows, as an object array."""
+    rows = [[1] + [0] * kmax]
+    for _ in range(nmax):
+        prev = rows[-1]
+        rows.append([1] + [prev[k] + prev[k - 1] for k in range(1, kmax + 1)])
+    return np.array(rows, dtype=object)
+
+
 def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True
                     ) -> SparseIntMatrix:
     """Assemble the restriction matrix.
@@ -332,7 +342,10 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True
     entry arrays once for their total length and fills them; never
     materializes a dense row.  Columns are numbered once, on the
     candidate grid: all-zero candidate columns are dropped unless
-    `drop_zero_columns` is false, and the rest keep their order.
+    `drop_zero_columns` is false, and the rest keep their order.  An
+    entry coef * C(n, k) is filled as one key for (coef, n, k); the keys
+    in use are numbered the same way, and become codes into the exact
+    table of their values.
     """
     batches = _candidate_columns(model)
     ncols = _column_count(batches)
@@ -340,11 +353,18 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True
             if (n := int(run.lens.sum()))]
     used = (_used_columns((run for run, _ in runs), ncols)
             if drop_zero_columns else np.ones(ncols, dtype=bool))
-    new_id = np.cumsum(used) - 1         # candidate column -> matrix column
+    # candidate column -> matrix column: its place among the used ones
+    new_id = np.cumsum(used, dtype=np.int32) - 1
     ncols = int(np.count_nonzero(used))
+    # key of (coef, n, k): (coefs.index(coef) * nspan + n) * kspan + k
+    coefs = sorted({run.coef for run, _ in runs})
+    nspan = 1 + max((int(np.max(run.bin_n)) for run, _ in runs), default=0)
+    kspan = max((int(np.max(run.bin_k + run.lens)) for run, _ in runs),
+                default=1)
+    if len(coefs) * nspan * kspan >= 1 << 31:
+        raise PlumbingError("entry value keys do not fit int32")
     nnz = sum(n for _, n in runs)
-    row, col, base = (np.empty(nnz, dtype=np.int64) for _ in range(3))
-    bin_n, bin_k = (np.empty(nnz, dtype=np.int32) for _ in range(2))
+    row, col, code = (np.empty(nnz, dtype=np.int32) for _ in range(3))
     end = 0
     for run, n in runs:
         # offsets along the runs; all 0 when every run is one entry long
@@ -354,12 +374,19 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True
         row[at] = _row_ids(_spread(run.x0, run.lens) + r,
                            _spread(run.ye, run.lens), *run.where)
         col[at] = new_id[run.col0:run.col0 + run.lens.size].repeat(run.lens)
-        base[at] = run.coef
-        bin_n[at] = _spread(run.bin_n, run.lens)
-        bin_k[at] = _spread(run.bin_k, run.lens) + r
+        key = (coefs.index(run.coef) * nspan + run.bin_n) * kspan + run.bin_k
+        code[at] = _spread(key, run.lens) + r
     del runs                 # freed before the key sort
-    return SparseIntMatrix(model.row_count, ncols, row, col, base, bin_n,
-                           bin_k)
+    used_keys = np.zeros(len(coefs) * nspan * kspan, dtype=bool)
+    used_keys[code] = True
+    # keys -> codes in place, numbered like the columns; every key is in
+    # range, so "clip" moves none, and unlike the default it buffers no copy
+    (np.cumsum(used_keys, dtype=np.int32) - 1).take(code, out=code,
+                                                    mode="clip")
+    c, nk = np.divmod(np.flatnonzero(used_keys), nspan * kspan)
+    values = np.array(coefs, dtype=object)[c] * \
+        _binomials(nspan - 1, kspan - 1)[np.divmod(nk, kspan)]
+    return SparseIntMatrix(model.row_count, ncols, row, col, code, values)
 
 
 def enumerate_generators(model: PlumbingModel,

@@ -1,13 +1,15 @@
-"""Sparse exact integer matrices with factored entries.
+"""Sparse exact integer matrices over a table of distinct values.
 
-Entries produced by the plumbing assembly all have the shape
-``base * C(n, k)`` with a small base (one of +-1, +-nu) and a binomial
-coefficient from the chart shift x -> x+1.  Storing the two factors
-instead of the (potentially hundreds of digits) product keeps the big
-workloads in hundreds of MB instead of GB and makes reduction mod p a
-table lookup.  A value beyond int64 (a literal from `from_coo` or the
-text format, or a uint64) makes `base` an object array of exact ints.
+Each entry is stored as its row, its column and an int32 `code` into
+`values`, the matrix's table of nonzero exact ints: entry i has value
+``values[code[i]]``.  The plumbing assembly yields tens of millions of
+entries but few distinct values ``coef * C(n, k)`` (E8: 25,010,996
+entries, 110,027 values, many far beyond int64), so an entry costs 12
+bytes and reduction mod p reduces each distinct value once and looks
+its residue up per entry.  `values` is int64, or an object array of
+exact ints when a value does not fit int64.
 
+Rows and columns are int32; a shape of 2^31 or more is refused.
 Entries are stored in the order they are given; `entries()` and the
 text format list them in row-major order (row, then column).  No
 duplicate coordinates and no zero values are allowed.
@@ -22,7 +24,6 @@ Text format::
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
@@ -30,15 +31,6 @@ import numpy as np
 
 class SparseMatrixError(ValueError):
     """Raised for malformed matrix data or files."""
-
-
-def _pascal_mod(nmax: int, p: int) -> np.ndarray:
-    """Table of C(n, k) mod p for 0 <= k <= n <= nmax."""
-    t = np.zeros((nmax + 1, nmax + 1), dtype=np.int64)
-    t[:, 0] = 1 % p
-    for n in range(1, nmax + 1):
-        t[n, 1:n + 1] = (t[n - 1, 1:n + 1] + t[n - 1, 0:n]) % p
-    return t
 
 
 def _exact_ints(what: str, a, dtype, wide: bool = False) -> np.ndarray:
@@ -67,60 +59,62 @@ class SparseIntMatrix:
 
     Attributes
     ----------
-    nrows, ncols : int
-    row, col : int64 arrays, in the order given (not sorted)
-    base, bin_n, bin_k : arrays
-        Entry i has value ``base[i] * C(bin_n[i], bin_k[i])``.  `base` is
+    nrows, ncols : int, each below 2^31
+    row, col : int32 arrays, in the order given (not sorted)
+    code : int32 array
+        Entry i has value ``values[code[i]]``.
+    values : 1-D array of nonzero exact ints
         int64, or an object array of exact ints when a value does not
         fit int64.
     """
 
-    __slots__ = ("nrows", "ncols", "row", "col", "base", "bin_n", "bin_k")
+    __slots__ = ("nrows", "ncols", "row", "col", "code", "values")
 
-    def __init__(self, nrows: int, ncols: int, row, col, base, bin_n, bin_k):
+    def __init__(self, nrows: int, ncols: int, row, col, code, values):
         shape = _exact_ints("shape", np.array([nrows, ncols], dtype=object),
-                            np.int64).tolist()
+                            np.int32).tolist()
         if min(shape) < 0:
             raise SparseMatrixError(f"negative shape {shape[0]} x {shape[1]}")
         self.nrows, self.ncols = shape
-        row = _exact_ints("row index", row, np.int64)
-        col = _exact_ints("column index", col, np.int64)
-        base = _exact_ints("value", base, np.int64, wide=True)
-        bin_n = _exact_ints("binomial", bin_n, np.int32)
-        bin_k = _exact_ints("binomial", bin_k, np.int32)
-        if not (row.size == col.size == base.size == bin_n.size == bin_k.size):
+        row = _exact_ints("row index", row, np.int32)
+        col = _exact_ints("column index", col, np.int32)
+        code = _exact_ints("value code", code, np.int32)
+        values = _exact_ints("value", values, np.int64, wide=True)
+        if not row.size == col.size == code.size:
             raise SparseMatrixError("entry arrays disagree in length")
-        if self.nrows * self.ncols >= 1 << 63:
-            raise SparseMatrixError("shape has 2^63 or more cells")
+        if (values == 0).any():
+            raise SparseMatrixError("zero-valued entry")
         if row.size:
             if row.min() < 0 or row.max() >= self.nrows:
                 raise SparseMatrixError("row index out of range")
             if col.min() < 0 or col.max() >= self.ncols:
                 raise SparseMatrixError("column index out of range")
-            if (bin_k < 0).any() or (bin_k > bin_n).any():
-                raise SparseMatrixError("invalid binomial factor")
-            # duplicates are equal neighbours among the sorted keys
-            key = row * self.ncols
+            if code.min() < 0 or code.max() >= values.size:
+                raise SparseMatrixError("value code out of range")
+            # duplicates are equal neighbours among the sorted keys; the
+            # key is int64, as row * ncols overflows int32
+            key = row.astype(np.int64)
+            key *= self.ncols
             key += col
             key.sort()
             dup = key[1:][key[1:] == key[:-1]]
             if dup.size:
                 r, c = divmod(int(dup[0]), self.ncols)
                 raise SparseMatrixError(f"duplicate entry at row {r}, col {c}")
-            if (base == 0).any():
-                raise SparseMatrixError("zero-valued entry")
-        self.row, self.col = row, col
-        self.base, self.bin_n, self.bin_k = base, bin_n, bin_k
+        self.row, self.col, self.code, self.values = row, col, code, values
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_coo(cls, nrows: int, ncols: int,
                  triples) -> "SparseIntMatrix":
-        """Build from (row, col, value) triples of exact ints (or none)."""
+        """Build from (row, col, value) triples of exact ints (or none);
+        the table holds the distinct values in increasing order."""
         t = np.array(list(triples), dtype=object).reshape(-1, 3)
-        z = np.zeros(len(t), dtype=np.int32)
-        return cls(nrows, ncols, t[:, 0], t[:, 1], t[:, 2], z, z)
+        values, code = np.unique(
+            _exact_ints("value", t[:, 2], np.int64, wide=True),
+            return_inverse=True)
+        return cls(nrows, ncols, t[:, 0], t[:, 1], code, values)
 
     # -- basic queries -----------------------------------------------------
 
@@ -134,8 +128,7 @@ class SparseIntMatrix:
         return self.nnz / cells if cells else 0.0
 
     def value(self, i: int) -> int:
-        return int(self.base[i]) * math.comb(int(self.bin_n[i]),
-                                             int(self.bin_k[i]))
+        return int(self.values[self.code[i]])
 
     def entries(self):
         """Yield (row, col, exact int value) in row-major order."""
@@ -151,11 +144,11 @@ class SparseIntMatrix:
     # -- modular reduction -------------------------------------------------
 
     def arrays_mod(self, p: int):
-        """(rows, cols, values mod p) with zero residues dropped."""
-        vals = (self.base % p).astype(np.int64, copy=False)
-        pas = _pascal_mod(int(self.bin_n.max(initial=0)), p)
-        vals *= pas[self.bin_n, self.bin_k]
-        vals %= p
+        """(rows, cols, values mod p): int32 arrays in entry order, zero
+        residues dropped.  Each distinct value is reduced once."""
+        if not 1 < p < 1 << 31:
+            raise SparseMatrixError(f"modulus {p} is not in [2, 2^31)")
+        vals = (self.values % p).astype(np.int32).take(self.code)
         keep = vals != 0
         return self.row[keep], self.col[keep], vals[keep]
 

@@ -1,5 +1,7 @@
-"""A dense rank oracle shared by the test modules: textbook elimination
-over the prime field on a numpy array, independent of `rank_mod_p`."""
+"""Oracles shared by the test modules: a dense rank by textbook
+elimination over the prime field on a numpy array, independent of
+`rank_mod_p`, and the residues of a matrix's entries computed one exact
+value at a time, independent of `arrays_mod`."""
 
 import numpy as np
 
@@ -28,3 +30,14 @@ def oracle_rank_dense(dense, p):
         if rank == rows:
             break
     return rank
+
+
+def oracle_residues(matrix, p):
+    """(row, col, value mod p) of every entry whose residue is nonzero,
+    in stored order, from the exact value of each entry."""
+    out = []
+    for i in range(matrix.nnz):
+        v = matrix.value(i) % p
+        if v:
+            out.append((int(matrix.row[i]), int(matrix.col[i]), v))
+    return out

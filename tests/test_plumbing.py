@@ -37,7 +37,7 @@ from tautcheck.plumbing import (
 )
 from tautcheck.sparse import read_matrix_text, write_matrix_text
 
-from rank_oracle import oracle_rank_dense
+from rank_oracle import oracle_rank_dense, oracle_residues
 
 
 # ---------------------------------------------------------------------------
@@ -467,16 +467,41 @@ def test_zero_column_drop_matches_unique_on_random_trees(model):
     mat = assemble_matrix(model)
     assert (mat.nrows, mat.ncols) == (full.nrows, kept.size)
     assert mat.col.tolist() == np.searchsorted(kept, full.col).tolist()
-    for name in ("row", "base", "bin_n", "bin_k"):
-        assert getattr(mat, name).tolist() == getattr(full, name).tolist()
+    assert mat.row.tolist() == full.row.tolist()
+    assert mat.values[mat.code].tolist() == full.values[full.code].tolist()
     every = enumerate_generators(model, drop_zero_columns=False)
     assert enumerate_generators(model) == [
         dataclasses.replace(every[c], index=i)
         for i, c in enumerate(kept.tolist())]
 
 
+@settings(max_examples=40, deadline=None)
+@given(_small_tree_models())
+def test_arrays_mod_matches_exact_values_on_random_trees(model):
+    """The reduction of an assembled matrix is value(i) mod p entry by
+    entry, in stored order with zero residues dropped."""
+    mat = assemble_matrix(model)
+    for p in (2, 3, 5, 7, 2_147_483_629):
+        got = mat.arrays_mod(p)
+        assert list(zip(*(a.tolist() for a in got))) == \
+            oracle_residues(mat, p)
+
+
 # ---------------------------------------------------------------------------
 # assembled matrix properties
+
+
+@pytest.mark.parametrize("preset, j", [("D4", 11), ("E6", 43)])
+def test_assembled_entries_take_12_bytes(preset, j):
+    """An entry is an int32 row, column and value code; the table holds
+    nonzero values only, each used by some entry.  E6's binomials go
+    beyond int64."""
+    mat = assemble_matrix(build_model(preset_graph(preset)[0], j,
+                                      [2, 3, 5, 7]))
+    assert mat.row.nbytes + mat.col.nbytes + mat.code.nbytes == 12 * mat.nnz
+    assert mat.values.dtype == (np.int64 if preset == "D4" else object)
+    assert all(mat.values != 0)
+    assert np.bincount(mat.code, minlength=mat.values.size).all()
 
 
 def test_assemble_star_shape_and_estimate():

@@ -7,6 +7,10 @@ deliberate.  To regenerate the file after a deliberate report change
 (and justify that change where it is recorded), run from the repo root
 
     PYTHONPATH=src python tests/test_report_digests.py
+
+`E6_EXPORT_SHA256` pins the `--export-matrix` file the same way; it is
+the sha256sum of the file `analyze --preset E6 --export-matrix PATH`
+writes.
 """
 
 import contextlib
@@ -22,6 +26,8 @@ import pytest
 from tautcheck.cli import main
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
+E6_EXPORT_SHA256 = \
+    "f8fa473f136781fd1549623fb17fc499c9cbe8e4169b73a03617cd4292ad6b5b"
 
 VALENCE4 = "vertex c genus=0 selfint=-3\n" + "".join(
     f"vertex l{k} genus=0 selfint=-2\nedge c l{k}\n" for k in range(1, 5))
@@ -67,6 +73,16 @@ def test_report_digest(name, tmp_path):
     expected = json.loads(DIGESTS.read_text())
     assert set(expected) == set(CASES)
     assert _digest(CASES[name], tmp_path) == expected[name]
+
+
+def test_exported_matrix_digest(tmp_path):
+    """The text format, byte for byte, on the 123,280 entries of E6."""
+    path = tmp_path / "e6.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["analyze", "--preset", "E6", "--export-matrix",
+                     str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == E6_EXPORT_SHA256
 
 
 if __name__ == "__main__":

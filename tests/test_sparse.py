@@ -1,4 +1,4 @@
-"""The factored sparse integer matrix container and its text format."""
+"""The sparse integer matrix over a table of values, and its text format."""
 
 import math
 
@@ -17,17 +17,9 @@ from tautcheck.sparse import (
     write_matrix_text,
 )
 
-from rank_oracle import oracle_rank_dense
+from rank_oracle import oracle_rank_dense, oracle_residues
 
-
-def _factored(nrows, ncols, quads):
-    """Entries given as (row, col, base, n, k) meaning base * C(n, k)."""
-    rows = [q[0] for q in quads]
-    cols = [q[1] for q in quads]
-    base = [q[2] for q in quads]
-    bn = [q[3] for q in quads]
-    bk = [q[4] for q in quads]
-    return SparseIntMatrix(nrows, ncols, rows, cols, base, bn, bk)
+REDUCTION_PRIMES = (2, 3, 5, 7, 2_147_483_629)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +41,9 @@ def test_empty_matrix():
 
 
 def test_factored_values_are_exact():
-    m = _factored(2, 2, [(0, 0, 3, 10, 4), (1, 1, -1, 0, 0)])
+    """Entry i has the exact value values[code[i]]."""
+    m = SparseIntMatrix(2, 2, [0, 1], [0, 1], [1, 0],
+                        [-1, 3 * math.comb(10, 4)])
     assert m.value(0) == 3 * math.comb(10, 4)
     assert m.value(1) == -1
     assert m.to_dense() == [[630, 0], [0, -1]]
@@ -57,16 +51,16 @@ def test_factored_values_are_exact():
 
 def test_huge_literal_values_stay_exact():
     """Values at and beyond the int64 limits keep their exact value on
-    every route; those beyond make `base` an object array."""
+    every route; those beyond make `values` an object array."""
     for v in ((1 << 63) - 1, 1 << 63, -(1 << 63), -(1 << 63) - 1, 10**80):
         triples = [(0, 1, v), (0, 0, 2), (1, 1, -3)]
         m = SparseIntMatrix.from_coo(2, 2, triples)
         fits = -(1 << 63) <= v < 1 << 63
-        assert m.base.dtype == (np.int64 if fits else object)
+        assert m.values.dtype == (np.int64 if fits else object)
         assert m.value(0) == v
         assert m.to_dense() == [[2, v], [0, -3]]
         back = matrix_from_text(matrix_to_text(m))
-        assert back.base.dtype == m.base.dtype
+        assert back.values.dtype == m.values.dtype
         assert back.to_dense() == m.to_dense()
         assert matrix_to_text(back) == matrix_to_text(m)
         for p in (2, 3, 97, 2_147_483_629):
@@ -75,13 +69,13 @@ def test_huge_literal_values_stay_exact():
             dense = np.array(m.to_dense(), dtype=object) % p
             assert rank_mod_p(m, p) == oracle_rank_dense(dense, p)
     # the constructor keeps an exact int beyond int64 given in a list
-    m = SparseIntMatrix(1, 1, [0], [0], [1 << 63], [0], [0])
-    assert m.base.dtype == object and m.value(0) == 1 << 63
+    m = SparseIntMatrix(1, 1, [0], [0], [0], [1 << 63])
+    assert m.values.dtype == object and m.value(0) == 1 << 63
 
 
 def test_from_coo_accepts_an_empty_iterator():
     m = SparseIntMatrix.from_coo(2, 2, iter(()))
-    assert m.nnz == 0 and m.base.dtype == np.int64
+    assert m.nnz == 0 and m.values.dtype == np.int64
     assert m.to_dense() == [[0, 0], [0, 0]]
     assert rank_mod_p(m, 2) == 0
 
@@ -105,9 +99,11 @@ def test_canonical_order_is_row_major():
     ([(0, 1, "3")], "value '3' is not an integer"),
     # too wide an index is a SparseMatrixError (a ValueError `cli.main`
     # catches), not an OverflowError
-    ([(1 << 70, 0, 1)], "row index 1180591620717411303424 does not fit int64"),
+    ([(1 << 70, 0, 1)], "row index 1180591620717411303424 does not fit int32"),
     ([(0, -(1 << 70), 1)],
-     "column index -1180591620717411303424 does not fit int64"),
+     "column index -1180591620717411303424 does not fit int32"),
+    # rows and columns are int32
+    ([(1 << 31, 0, 1)], "row index 2147483648 does not fit int32"),
 ])
 def test_construction_errors(triples, err):
     with pytest.raises(SparseMatrixError) as e:
@@ -122,7 +118,8 @@ def test_construction_errors(triples, err):
     # a float used to be truncated by int(): 2.5 x 3 became 2 x 3
     ((2.5, 3), "shape 2.5 is not an integer"),
     ((2, 3.0), "shape 3.0 is not an integer"),
-    ((1 << 70, 1), "shape 1180591620717411303424 does not fit int64"),
+    ((1 << 70, 1), "shape 1180591620717411303424 does not fit int32"),
+    ((1, 1 << 31), "shape 2147483648 does not fit int32"),
 ])
 def test_constructor_rejects_bad_shape(shape, err):
     with pytest.raises(SparseMatrixError) as e:
@@ -134,14 +131,14 @@ def test_constructor_rejects_bad_shape(shape, err):
 
 
 def test_constructor_rejects_float_arrays():
-    ints = {"row": [0], "col": [1], "base": [3], "bin_n": [2], "bin_k": [1]}
+    ints = {"row": [0], "col": [1], "code": [0], "values": [6]}
     for field, v in ints.items():
         floats = {**ints, field: np.array([v[0] + 0.9])}
         with pytest.raises(SparseMatrixError, match="is not an integer"):
             SparseIntMatrix(2, 2, **floats)
     # the same values as integers, numpy or exact, are accepted
     ints = SparseIntMatrix(2, 2, [np.int32(0)], np.array([1], dtype=np.uint8),
-                           np.array([3], dtype=object), [2], [1])
+                           [np.int64(0)], np.array([6], dtype=object))
     assert ints.to_dense() == [[0, 6], [0, 0]]
 
 
@@ -149,54 +146,61 @@ def test_uint64_values_beyond_int64_stay_exact():
     """Only values fall back to exact ints; a uint64 at or above 2^63
     used to wrap to a negative int64."""
     big = np.array([1 << 63, 5], dtype=np.uint64)
-    m = SparseIntMatrix(1, 2, [0, 0], [0, 1], big, [0, 0], [0, 0])
-    assert m.base.dtype == object and m.to_dense() == [[1 << 63, 5]]
-    small = SparseIntMatrix(1, 1, [0], [0], big[1:], [0], [0])
-    assert small.base.dtype == np.int64 and small.to_dense() == [[5]]
-
-
-def test_binomials_beyond_int32_rejected():
-    """An int64 array of binomial arguments used to wrap silently on the
-    cast to int32: n = 2^32 + 5 stored C(5, 2) = 10."""
-    for n in (np.array([(1 << 32) + 5]), [(1 << 32) + 5]):
-        with pytest.raises(SparseMatrixError,
-                           match="binomial 4294967301 does not fit int32"):
-            SparseIntMatrix(1, 1, [0], [0], [1], n, np.array([2]))
+    m = SparseIntMatrix(1, 2, [0, 0], [0, 1], [0, 1], big)
+    assert m.values.dtype == object and m.to_dense() == [[1 << 63, 5]]
+    small = SparseIntMatrix(1, 1, [0], [0], [0], big[1:])
+    assert small.values.dtype == np.int64 and small.to_dense() == [[5]]
 
 
 def test_stored_dtypes_pass_uncopied():
     """Arrays that already have the stored dtypes, as assembly's do, are
     kept as given: no scan, no copy."""
-    row, col, base = (np.array([0, 1], dtype=np.int64) for _ in range(3))
-    base += 1
-    bin_n, bin_k = (np.zeros(2, dtype=np.int32) for _ in range(2))
-    m = SparseIntMatrix(2, 2, row, col, base, bin_n, bin_k)
-    stored = (m.row, m.col, m.base, m.bin_n, m.bin_k)
-    assert all(a is b for a, b in zip(stored, (row, col, base, bin_n, bin_k)))
+    row, col, code = (np.array([0, 1], dtype=np.int32) for _ in range(3))
+    values = np.array([1, 2], dtype=np.int64)
+    m = SparseIntMatrix(2, 2, row, col, code, values)
+    stored = (m.row, m.col, m.code, m.values)
+    assert all(a is b for a, b in zip(stored, (row, col, code, values)))
 
 
-def test_invalid_binomial_rejected():
-    with pytest.raises(SparseMatrixError):
-        _factored(1, 1, [(0, 0, 1, 2, 5)])   # k > n
+@pytest.mark.parametrize("code, values, err", [
+    ([0, 2], [1, 2], "value code out of range"),
+    ([-1, 0], [1, 2], "value code out of range"),
+    ([0, 1], [1, 0], "zero-valued entry"),
+    ([0], [1], "entry arrays disagree in length"),
+    # an int64 array is refused beyond int32, not wrapped (2^32 -> 0)
+    (np.array([1 << 32, 0]), [1, 2], "value code 4294967296 does not fit"),
+])
+def test_constructor_rejects_bad_value_table(code, values, err):
+    with pytest.raises(SparseMatrixError, match=err):
+        SparseIntMatrix(2, 2, [0, 1], [0, 1], code, values)
 
 
-def test_shape_with_2_63_cells_rejected():
-    # the duplicate check keys an entry by row * ncols + col in int64
-    with pytest.raises(SparseMatrixError, match="2\\^63"):
-        matrix_from_text("4294967296 4294967296 M\n1 1 1\n"
-                         "4294967296 4294967296 2\n0 0 0\n")
-    with pytest.raises(SparseMatrixError, match="2\\^63"):
-        SparseIntMatrix.from_coo(1 << 32, 1 << 31, ())
+def test_shape_of_2_31_rejected():
+    # rows and columns are stored as int32
+    with pytest.raises(SparseMatrixError,
+                       match="shape 2147483648 does not fit int32"):
+        matrix_from_text("2147483648 1 M\n1 1 1\n0 0 0\n")
+    with pytest.raises(SparseMatrixError,
+                       match="shape 2147483648 does not fit int32"):
+        SparseIntMatrix.from_coo(1, 1 << 31, ())
+    top = (1 << 31) - 1
+    assert SparseIntMatrix.from_coo(top, top, ()).nrows == top
 
 
 def test_duplicates_found_at_large_coordinates():
-    m, n = 1 << 32, (1 << 31) - 1         # m * n is just below 2^63
+    # the duplicate check keys an entry by row * ncols + col in int64:
+    # m * n is about 2^62, far beyond int32
+    m = n = (1 << 31) - 1
     a = SparseIntMatrix.from_coo(m, n, [(m - 1, n - 1, 2), (0, 0, 1)])
     assert list(a.entries()) == [(0, 0, 1), (m - 1, n - 1, 2)]
     with pytest.raises(SparseMatrixError,
                        match=f"duplicate entry at row {m - 1}, col {n - 2}"):
         SparseIntMatrix.from_coo(m, n, [(m - 1, n - 2, 2), (0, 0, 1),
                                         (m - 1, n - 2, 3)])
+    # keys 2^32 apart are equal in int32, but distinct entries
+    a = SparseIntMatrix.from_coo(1 << 17, 1 << 16,
+                                 [(0, 5, 1), (1 << 16, 5, 2)])
+    assert list(a.entries()) == [(0, 5, 1), (1 << 16, 5, 2)]
 
 
 @st.composite
@@ -228,7 +232,7 @@ def test_entry_order_changes_no_result(case):
     given_order = SparseIntMatrix.from_coo(nrows, ncols, triples)
     m = SparseIntMatrix.from_coo(nrows, ncols, shuffled)
     fits = all(-(1 << 63) <= v < 1 << 63 for _, _, v in triples)
-    assert m.base.dtype == given_order.base.dtype == \
+    assert m.values.dtype == given_order.values.dtype == \
         (np.int64 if fits else object)
     assert matrix_to_text(m) == matrix_to_text(given_order)
     dense = [[0] * ncols for _ in range(nrows)]
@@ -243,6 +247,46 @@ def test_entry_order_changes_no_result(case):
 
 # ---------------------------------------------------------------------------
 # modular reduction
+
+
+@st.composite
+def _repeating_triples(draw):
+    """(nrows, ncols, triples) whose values repeat, and are negative or
+    beyond int64 as often as not."""
+    nrows, ncols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    cells = draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                    st.integers(0, ncols - 1)),
+                          max_size=nrows * ncols, unique=True))
+    pool = draw(st.lists(st.one_of(st.integers(-50, 50),
+                                   st.integers(-(1 << 90), 1 << 90)
+                                   ).filter(bool), min_size=1, max_size=6))
+    values = draw(st.lists(st.sampled_from(pool), min_size=len(cells),
+                           max_size=len(cells)))
+    return nrows, ncols, [(r, c, v) for (r, c), v in zip(cells, values)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_repeating_triples())
+def test_arrays_mod_matches_exact_values(case):
+    """arrays_mod(p) is (row, col, value(i) mod p) entry by entry, in
+    stored order with zero residues dropped, as int32 arrays; the table
+    holds each distinct literal once."""
+    nrows, ncols, triples = case
+    m = SparseIntMatrix.from_coo(nrows, ncols, triples)
+    assert sorted(m.values.tolist()) == sorted({v for _, _, v in triples})
+    for p in REDUCTION_PRIMES:
+        got = m.arrays_mod(p)
+        assert [a.dtype for a in got] == [np.int32] * 3
+        assert list(zip(*(a.tolist() for a in got))) == \
+            oracle_residues(m, p) == \
+            [(r, c, v % p) for r, c, v in triples if v % p]
+
+
+@pytest.mark.parametrize("p", [1, 0, -3, 1 << 31])
+def test_arrays_mod_rejects_modulus_outside_int32(p):
+    m = SparseIntMatrix.from_coo(1, 1, [(0, 0, 5)])
+    with pytest.raises(SparseMatrixError, match=f"modulus {p} is not in"):
+        m.arrays_mod(p)
 
 
 def test_arrays_mod_drops_zero_residues():
@@ -270,8 +314,8 @@ def test_arrays_mod_matches_dense_reduction():
 
 
 def test_factored_mod_uses_binomials():
-    # 3 * C(10, 4) = 630
-    m = _factored(1, 1, [(0, 0, 3, 10, 4)])
+    # 3 * C(10, 4) = 630, one value of the table
+    m = SparseIntMatrix(1, 1, [0], [0], [1], [-1, 3 * math.comb(10, 4)])
     for p in (2, 3, 5, 7, 11, 101):
         rows, cols, vals = m.arrays_mod(p)
         expect = 630 % p
