@@ -12,15 +12,13 @@ from .graph import (DualGraph, GraphError, VertexData, intersection_matrix,
                     is_connected, is_negative_definite, parse_graph,
                     preset_graph, serialize_graph)
 from .cycles import (CyclesError, MultiplicityPlan, anti_ample_cycle,
-                     choose_j, exhaustive_tau_min, fundamental_cycle,
-                     greedy_tau, is_anti_ample, make_coprime_to_all,
-                     significant_multiplicity_to_all, step_vanishing_check,
+                     choose_j, fundamental_cycle, greedy_tau, is_anti_ample,
+                     make_coprime_to_all, significant_multiplicity_to_all,
                      vanishing_floor)
 from .sparse import (SparseIntMatrix, SparseMatrixError, matrix_from_text,
-                     matrix_to_text, read_matrix_text, write_matrix_text)
-from .plumbing import (GeneratorColumn, PlumbingError, PlumbingModel,
-                       assemble_matrix, build_model, enumerate_generators,
-                       estimate_assembly, expand_at_point)
+                     read_matrix_text, write_matrix_text)
+from .plumbing import (PlumbingError, PlumbingModel, assemble_matrix,
+                       build_model, estimate_assembly)
 from .linalg import (LinalgError, is_probable_prime, next_prime,
                      prove_rank_over_Q, rank_mod_p)
 
@@ -29,14 +27,13 @@ __all__ = [
     "is_connected", "is_negative_definite", "parse_graph", "preset_graph",
     "serialize_graph",
     "CyclesError", "MultiplicityPlan", "anti_ample_cycle", "choose_j",
-    "exhaustive_tau_min", "fundamental_cycle", "greedy_tau", "is_anti_ample",
+    "fundamental_cycle", "greedy_tau", "is_anti_ample",
     "make_coprime_to_all", "significant_multiplicity_to_all",
-    "step_vanishing_check", "vanishing_floor",
+    "vanishing_floor",
     "SparseIntMatrix", "SparseMatrixError", "matrix_from_text",
-    "matrix_to_text", "read_matrix_text", "write_matrix_text",
-    "GeneratorColumn", "PlumbingError", "PlumbingModel",
-    "assemble_matrix", "build_model", "enumerate_generators",
-    "estimate_assembly", "expand_at_point",
+    "read_matrix_text", "write_matrix_text",
+    "PlumbingError", "PlumbingModel", "assemble_matrix", "build_model",
+    "estimate_assembly",
     "LinalgError", "is_probable_prime", "next_prime", "prove_rank_over_Q",
     "rank_mod_p",
 ]

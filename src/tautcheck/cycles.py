@@ -8,11 +8,10 @@ when every coefficient is positive and ``(M z)_i < 0`` for every vertex,
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
-from .graph import (DualGraph, GraphError, VertexData, intersection_matrix,
+from .graph import (DualGraph, VertexData, intersection_matrix,
                     is_connected, is_negative_definite)
 from .linalg import next_prime
 
@@ -20,12 +19,9 @@ from .linalg import next_prime
 # graphs long before it
 _MAX_STEPS = 1_000_000
 
-# largest number of sub-cycles `exhaustive_tau_min` will search
-_STATE_BUDGET = 2_000_000
-
 
 class CyclesError(ValueError):
-    """Raised for invalid cycle arguments or exhausted search budgets."""
+    """Raised for invalid cycle arguments."""
 
 
 def _pairing(m: list[list[int]], z: list[int] | tuple[int, ...]) -> list[int]:
@@ -39,11 +35,11 @@ def is_anti_ample(g: DualGraph, z: tuple[int, ...]) -> bool:
     return all(v < 0 for v in _pairing(intersection_matrix(g), z))
 
 
-def _check_cycle_arg(g: DualGraph, z: tuple[int, ...], name: str = "cycle"):
+def _check_cycle_arg(g: DualGraph, z: tuple[int, ...]):
     if len(z) != g.n:
-        raise CyclesError(f"{name} has length {len(z)}, graph has {g.n} vertices")
+        raise CyclesError(f"cycle has length {len(z)}, graph has {g.n} vertices")
     if any(not isinstance(c, int) for c in z):
-        raise CyclesError(f"{name} must have integer coefficients")
+        raise CyclesError("cycle must have integer coefficients")
 
 
 # ---------------------------------------------------------------------------
@@ -206,57 +202,6 @@ def greedy_tau(g: DualGraph, zbar: tuple[int, ...]) -> tuple[int, list[int]]:
     return (max(recorded) if recorded else 0), beta
 
 
-def exhaustive_tau_min(g: DualGraph, zbar: tuple[int, ...]) -> int:
-    """Exact minimum over *all* build sequences of the peak recorded value.
-
-    Implemented as a bottleneck shortest path over coefficient vectors
-    below `zbar` (cost of a path = max recorded value; start states are the
-    single vertices at no cost).  Equivalent to enumerating every addition
-    order, but polynomial in the number of sub-cycles.
-
-    Raises
-    ------
-    CyclesError
-        When the number of sub-cycles exceeds `_STATE_BUDGET`.
-    """
-    _check_cycle_arg(g, zbar)
-    if any(c < 1 for c in zbar):
-        raise CyclesError("exhaustive_tau_min needs a cycle with full support")
-    states = math.prod(c + 1 for c in zbar)
-    if states > _STATE_BUDGET:
-        raise CyclesError(f"search space has {states} sub-cycles "
-                          f"(budget {_STATE_BUDGET})")
-    m = intersection_matrix(g)
-    n = g.n
-    target = tuple(zbar)
-    ninf = float("-inf")
-    best: dict[tuple[int, ...], float] = {}
-    heap: list[tuple[float, int, tuple[int, ...]]] = []
-    tick = 0
-    for v in range(n):
-        start = tuple(1 if i == v else 0 for i in range(n))
-        best[start] = ninf
-        heapq.heappush(heap, (ninf, tick, start))
-        tick += 1
-    while heap:
-        cost, _, z = heapq.heappop(heap)
-        if cost > best.get(z, ninf):
-            continue
-        if z == target:
-            return 0 if cost == ninf else int(cost)
-        pair = _pairing(m, z)
-        for v in range(n):
-            if z[v] >= target[v]:
-                continue
-            nz = z[:v] + (z[v] + 1,) + z[v + 1:]
-            ncost = max(cost, pair[v])
-            if ncost < best.get(nz, math.inf):
-                best[nz] = ncost
-                heapq.heappush(heap, (ncost, tick, nz))
-                tick += 1
-    raise CyclesError("no build sequence reaches the target cycle")
-
-
 @dataclass
 class MultiplicityPlan:
     """The twist plan: bounds, build sequence and chosen multiplicity."""
@@ -301,24 +246,3 @@ def choose_j(nu: int, n_max: int, primes: list[int]) -> int:
     candidate prime."""
     floor = max(nu * n_max, max(primes, default=1))
     return next_prime(floor)
-
-
-def step_vanishing_check(g: DualGraph, c: tuple[int, ...],
-                         l0: int | str) -> tuple[bool, bool]:
-    """The two per-step vanishing conditions at vertex `l0` against the
-    partial cycle `c`:
-
-    cond1:  2(2g - 2) + E.C < 0
-    cond2:  2g - 2 - E^2 + E.C < 0
-
-    `l0` may be a vertex id or an index.
-    """
-    _check_cycle_arg(g, c, "partial cycle")
-    if any(v < 1 for v in c):
-        raise CyclesError("step_vanishing_check needs a full-support cycle")
-    i = g.index(l0) if isinstance(l0, str) else l0
-    if not (0 <= i < g.n):
-        raise GraphError(f"vertex index {i} out of range")
-    ec = _pairing(intersection_matrix(g), c)[i]
-    t1, t2 = _vanishing_terms(g.data[g.ids[i]])
-    return t1 + ec < 0, t2 + ec < 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import numbers
 import random
 from typing import NamedTuple
 
@@ -39,7 +40,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases; deterministic below 3.3e24."""
+    """Miller-Rabin with fixed bases; deterministic below 3.3e24.  An
+    argument that is not an integer is refused with LinalgError."""
+    if not isinstance(n, numbers.Integral):
+        raise LinalgError(f"{n!r} is not an integer")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -65,7 +69,7 @@ def is_probable_prime(n: int) -> bool:
 
 def is_valid_modulus(p: int) -> bool:
     """A prime below 2^31: the moduli `rank_mod_p` works in."""
-    return p < 1 << 31 and is_probable_prime(p)
+    return is_probable_prime(p) and p < 1 << 31
 
 
 def next_prime(n: int) -> int:

@@ -24,7 +24,6 @@ coef * C(n, k) with coef one of +-1, +-nu_l.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,22 +47,7 @@ FAMILY_DX_EXTRA = "dx_extra"
 
 
 class PlumbingError(ValueError):
-    """Raised for invalid models, slot assignments or expansion targets."""
-
-
-@dataclass
-class GeneratorColumn:
-    """A generator section on `vertex`; families are "dy" (sections of
-    the y-derivation catalog), "dx" (x-derivation catalog) and
-    "dx_extra" (the one-per-b section hidden in the second chart,
-    present when slot "inf" is free).  The (a, b) ranges of each family
-    are the grid rows of `_candidate_columns`."""
-
-    index: int | None
-    vertex: int
-    family: str
-    a: int
-    b: int
+    """Raised for invalid models and for matrices too large to key."""
 
 
 @dataclass(eq=False)
@@ -81,13 +65,8 @@ class PlumbingModel:
     def occupancy(self, l: int) -> frozenset[str]:
         return frozenset(self.slots[l].values())
 
-    def neighbors(self, l: int) -> set[int]:
-        return {a + b - l for a, b in self.points if l in (a, b)}
 
-
-def build_model(g: DualGraph, j: int, primes: list[int],
-                slot_assignment: dict[int, list[str]] | None = None
-                ) -> PlumbingModel:
+def build_model(g: DualGraph, j: int, primes: list[int]) -> PlumbingModel:
     """Validate the graph and fix charts, slots and row layout.
 
     Parameters
@@ -99,11 +78,9 @@ def build_model(g: DualGraph, j: int, primes: list[int],
         vertex multiplicity stays invertible in every characteristic).
     primes : list of int
         Candidate characteristics (primes) the matrix will be analyzed at.
-    slot_assignment : dict, optional
-        Per vertex index, the slot of each incident edge in canonical
-        incident order; defaults to ("0", "inf", "1") truncated to the
-        valence.  Any assignment of distinct slots is accepted (the rank
-        is invariant under permutations; the matrix is not).
+
+    The incident edges of a vertex take the slots ("0", "inf", "1") in
+    incident order, truncated to its valence.
     """
     reasons = admissibility_violations(g)
     if reasons:
@@ -126,18 +103,7 @@ def build_model(g: DualGraph, j: int, primes: list[int],
     slots: list[dict[int, str]] = []
     for l, eis in enumerate(incident):
         eis.sort(key=lambda ei: (sum(points[ei]) - l, ei))
-        if slot_assignment is not None and l in slot_assignment:
-            chosen = list(slot_assignment[l])
-            if len(chosen) != len(eis):
-                raise PlumbingError(f"vertex {l}: slot assignment needs "
-                                    f"{len(eis)} slots")
-            if len(set(chosen)) != len(chosen) or \
-                    not set(chosen) <= set(_SLOT_ORDER):
-                raise PlumbingError(f"vertex {l}: slots must be distinct "
-                                    f"members of {_SLOT_ORDER}")
-        else:
-            chosen = list(_SLOT_ORDER[:len(eis)])
-        slots.append(dict(zip(eis, chosen)))
+        slots.append(dict(zip(eis, _SLOT_ORDER)))
     return PlumbingModel(graph=g, j=j, nu=[-g.data[v].selfint for v in g.ids],
                          slots=slots, points=points,
                          row_count=len(points) * _point_rows(j))
@@ -334,15 +300,14 @@ def _binomials(nmax: int, kmax: int) -> np.ndarray:
     return np.array(rows, dtype=object)
 
 
-def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True
-                    ) -> SparseIntMatrix:
+def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
     """Assemble the restriction matrix.
 
     Keeps the non-empty runs of one `_entry_runs` walk, allocates the
     entry arrays once for their total length and fills them; never
     materializes a dense row.  Columns are numbered once, on the
-    candidate grid: all-zero candidate columns are dropped unless
-    `drop_zero_columns` is false, and the rest keep their order.  An
+    candidate grid: all-zero candidate columns are dropped, and the rest
+    keep their order.  An
     entry coef * C(n, k) is filled as one key for (coef, n, k); the keys
     in use are numbered the same way, and become codes into the exact
     table of their values.
@@ -351,8 +316,7 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True
     ncols = _column_count(batches)
     runs = [(run, n) for run in _entry_runs(model, batches)
             if (n := int(run.lens.sum()))]
-    used = (_used_columns((run for run, _ in runs), ncols)
-            if drop_zero_columns else np.ones(ncols, dtype=bool))
+    used = _used_columns((run for run, _ in runs), ncols)
     # candidate column -> matrix column: its place among the used ones
     new_id = np.cumsum(used, dtype=np.int32) - 1
     ncols = int(np.count_nonzero(used))
@@ -387,85 +351,6 @@ def assemble_matrix(model: PlumbingModel, *, drop_zero_columns: bool = True
     values = np.array(coefs, dtype=object)[c] * \
         _binomials(nspan - 1, kspan - 1)[np.divmod(nk, kspan)]
     return SparseIntMatrix(model.row_count, ncols, row, col, code, values)
-
-
-def enumerate_generators(model: PlumbingModel,
-                         drop_zero_columns: bool = True
-                         ) -> list[GeneratorColumn]:
-    """The matrix columns (post zero-column drop), canonical order.  The
-    drop reads the used columns from one walk of the entries."""
-    batches = _candidate_columns(model)
-    ncols = _column_count(batches)
-    used = (_used_columns(_entry_runs(model, batches), ncols)
-            if drop_zero_columns else np.ones(ncols, dtype=bool))
-    columns: list[GeneratorColumn] = []
-    for batch in batches:
-        keep = used[batch.col_start:batch.col_start + batch.a.size]
-        for a, b in zip(batch.a[keep].tolist(), batch.b[keep].tolist()):
-            columns.append(GeneratorColumn(len(columns), batch.vertex,
-                                           batch.family, a, b))
-    return columns
-
-
-def expand_at_point(col: GeneratorColumn, ei: int,
-                    model: PlumbingModel) -> dict[tuple[str, int, int], int]:
-    """Exact expansion of one generator in the window of the point of
-    edge `ei`.
-
-    Returns a map (kind, e1, e2) -> value in canonical-side coordinates.
-    Returns {} when the point does not touch the generator's vertex but
-    does touch a neighbor (the restriction is zero there); raises
-    PlumbingError when the point is entirely elsewhere or `ei` is not an
-    edge index.  Components outside the window are dropped (for catalog
-    generators they are fixed contributions, independent of the window).
-
-    The descriptor's (a, b) are not range-checked; expanding an
-    out-of-range descriptor may hit a negative exponent in the second
-    chart, which is an error.
-    """
-    if ei not in range(len(model.points)):
-        raise PlumbingError(f"point {ei} is not an edge index of the model")
-    l = col.vertex
-    if l not in model.points[ei]:
-        if model.neighbors(l) & set(model.points[ei]):
-            return {}
-        raise PlumbingError(f"point {ei} is not incident to vertex "
-                            f"{l} or its neighbors")
-    nu = model.nu[l]
-    chart, shifted, swap = _point_context(model, l, ei)
-    vanish_one = SLOT1 in model.occupancy(l)
-    out: dict[tuple[str, int, int], int] = {}
-
-    def put(kind, xe, ye, val):
-        if val == 0:
-            return
-        if not bool(_window_mask(kind, np.int64(xe), np.int64(ye), model.j)):
-            return
-        if not swap:
-            key = (kind, xe, ye)
-        else:
-            key = (KIND_DY if kind == KIND_DX else KIND_DX, ye, xe)
-        out[key] = out.get(key, 0) + val
-        if out[key] == 0:
-            del out[key]
-
-    for coef, xa, xb, xc, e, yoff, kind in _terms(col.family, vanish_one,
-                                                  nu, chart):
-        xe = xa * col.a + xb * col.b + xc
-        ye = col.b + yoff
-        if xe < 0:
-            raise PlumbingError(f"negative exponent {xe} in chart {chart}: "
-                                f"descriptor (a={col.a}, b={col.b}) is "
-                                f"outside the {col.family} family range")
-        if shifted:
-            for k in range(e, xe + e + 1):
-                put(kind, k, ye, coef * math.comb(xe, k - e))
-        elif e == 0:
-            put(kind, xe, ye, coef)
-        else:
-            put(kind, xe + 1, ye, coef)
-            put(kind, xe, ye, -coef)
-    return out
 
 
 def estimate_assembly(model: PlumbingModel) -> dict:

@@ -135,12 +135,6 @@ class SparseIntMatrix:
         for i in np.lexsort((self.col, self.row)).tolist():
             yield int(self.row[i]), int(self.col[i]), self.value(i)
 
-    def to_dense(self) -> list[list[int]]:
-        a = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, c, v in self.entries():
-            a[r][c] = v
-        return a
-
     # -- modular reduction -------------------------------------------------
 
     def arrays_mod(self, p: int):
@@ -157,23 +151,13 @@ class SparseIntMatrix:
 # text format
 
 
-def _text_lines(matrix: SparseIntMatrix):
-    """The line-based triple format: header, entries (1-based indices,
-    row-major order), '0 0 0' terminator."""
-    yield f"{matrix.nrows} {matrix.ncols} M\n"
-    for r, c, v in matrix.entries():
-        yield f"{r + 1} {c + 1} {v}\n"
-    yield "0 0 0\n"
-
-
 def write_matrix_text(matrix: SparseIntMatrix, path: str) -> None:
-    """Write the matrix to `path` in the triple format."""
+    """Write the matrix to `path` in the triple format: header, entries
+    (1-based indices, row-major order), '0 0 0' terminator."""
     with open(path, "w") as f:
-        f.writelines(_text_lines(matrix))
-
-
-def matrix_to_text(matrix: SparseIntMatrix) -> str:
-    return "".join(_text_lines(matrix))
+        f.write(f"{matrix.nrows} {matrix.ncols} M\n")
+        f.writelines(f"{r + 1} {c + 1} {v}\n" for r, c, v in matrix.entries())
+        f.write("0 0 0\n")
 
 
 def matrix_from_text(text: str) -> SparseIntMatrix:

@@ -1,7 +1,8 @@
 """Oracles shared by the test modules: a dense rank by textbook
 elimination over the prime field on a numpy array, independent of
-`rank_mod_p`, and the residues of a matrix's entries computed one exact
-value at a time, independent of `arrays_mod`."""
+`rank_mod_p`, the residues of a matrix's entries computed one exact
+value at a time, independent of `arrays_mod`, and a matrix's dense
+form."""
 
 import numpy as np
 
@@ -41,3 +42,11 @@ def oracle_residues(matrix, p):
         if v:
             out.append((int(matrix.row[i]), int(matrix.col[i]), v))
     return out
+
+
+def oracle_dense(matrix):
+    """The matrix as a list of rows of exact ints, from `entries()`."""
+    dense = [[0] * matrix.ncols for _ in range(matrix.nrows)]
+    for r, c, v in matrix.entries():
+        dense[r][c] = v
+    return dense

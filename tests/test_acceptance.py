@@ -24,7 +24,8 @@ from tautcheck.linalg import prove_rank_over_Q, rank_mod_p
 from tautcheck.plumbing import assemble_matrix, build_model
 from tautcheck.sparse import SparseIntMatrix
 
-from rank_oracle import oracle_rank_dense
+from plumbing_oracle import with_slots
+from rank_oracle import oracle_dense, oracle_rank_dense
 
 BIG_PRIME = 2147483629          # largest prime below 2**31
 
@@ -143,7 +144,7 @@ def test_criterion_05_rank_oracle_on_random_sparse_matrices():
                         v = rng.randint(-20, 20)
                     triples.append((r, c, v))
         mat = SparseIntMatrix.from_coo(m, n, triples)
-        dense = mat.to_dense()
+        dense = oracle_dense(mat)
         for p in (2, 3, 5, 7, 101):
             assert rank_mod_p(mat, p) == oracle_rank_dense(dense, p), \
                 (trial, m, n, p)
@@ -172,14 +173,14 @@ def test_criterion_06_relabeling_and_slot_invariance():
 
     # slot assignments: all choices at every vertex, star and chain
     def rank_profile(g, assignment):
-        model = build_model(g, 11, [2, 3, 5, 7], slot_assignment=assignment)
+        model = with_slots(build_model(g, 11, [2, 3, 5, 7]), assignment)
         mat = assemble_matrix(model)
         return tuple(rank_mod_p(mat, p) for p in (2, 3, 5, 7, BIG_PRIME))
 
     star, _ = preset_graph("D4")
     center = star.index("d3")
     leaves = [i for i in range(4) if i != center]
-    base_star = rank_profile(star, None)
+    base_star = rank_profile(star, {})
     assert base_star == (659, 660, 660, 660, 660)
     count = 0
     for center_slots in permutations(["0", "inf", "1"]):
@@ -192,7 +193,7 @@ def test_criterion_06_relabeling_and_slot_invariance():
     assert count == 6 * 27
 
     chain, _ = preset_graph("A3")
-    base_chain = rank_profile(chain, None)
+    base_chain = rank_profile(chain, {})
     assert base_chain == (440, 440, 440, 440, 440)
     count = 0
     for mid_slots in permutations(["0", "inf", "1"], 2):
@@ -280,8 +281,8 @@ def test_criterion_08_truncation_soundness():
         small = assemble_matrix(build_model(g, 5, [2, 3]))
         large = assemble_matrix(build_model(g, 11, [2, 3]))
         assert small.nrows == 40 and large.nrows == 220
-        dense_small = small.to_dense()
-        dense_large = large.to_dense()
+        dense_small = oracle_dense(small)
+        dense_large = oracle_dense(large)
         for p in (2, 3, 5, 7, BIG_PRIME):
             r_small = oracle_rank_dense(dense_small, p)
             r_large = oracle_rank_dense(dense_large, p)

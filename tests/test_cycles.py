@@ -1,6 +1,7 @@
 """Cycle computations: fundamental/anti-ample cycles, coprimality repair,
-the lambda/tau/nu plan, and the per-step vanishing conditions."""
+and the lambda/tau/nu plan."""
 
+import functools
 import itertools
 import math
 
@@ -11,13 +12,11 @@ from tautcheck.cycles import (
     MultiplicityPlan,
     anti_ample_cycle,
     choose_j,
-    exhaustive_tau_min,
     fundamental_cycle,
     greedy_tau,
     is_anti_ample,
     make_coprime_to_all,
     significant_multiplicity_to_all,
-    step_vanishing_check,
     vanishing_floor,
 )
 from tautcheck.graph import intersection_matrix, parse_graph, preset_graph
@@ -265,64 +264,50 @@ def test_greedy_tau_needs_full_support():
 
 
 def _tau_min_by_enumeration(g, target):
-    """Literal enumeration of every admissible build order."""
+    """Minimum over every admissible build order of the peak recorded
+    value, memoised over sub-cycles: the peak still to come from a
+    sub-cycle does not depend on how it was built."""
     m = intersection_matrix(g)
     n = g.n
-    best = [None]
 
-    def rec(cur, peak):
-        if tuple(cur) == target:
-            best[0] = peak if best[0] is None else min(best[0], peak)
-            return
+    @functools.cache
+    def rest(cur):
+        """Least peak of the steps from `cur` to `target` (None: no step)."""
+        if cur == target:
+            return None
+        best = None
         for v in range(n):
             if cur[v] >= target[v]:
                 continue
             score = sum(m[v][j] * cur[j] for j in range(n))
-            cur[v] += 1
-            rec(cur, score if peak is None else max(peak, score))
-            cur[v] -= 1
+            after = rest(cur[:v] + (cur[v] + 1,) + cur[v + 1:])
+            peak = score if after is None else max(score, after)
+            best = peak if best is None else min(best, peak)
+        return best
 
-    for v in range(n):
-        if target[v]:
-            start = [0] * n
-            start[v] = 1
-            rec(start, None)
-    return 0 if best[0] is None else best[0]
+    peaks = [rest(tuple(int(i == v) for i in range(n)))
+             for v in range(n) if target[v]]
+    return min((p for p in peaks if p is not None), default=0)
 
 
 def test_exhaustive_tau_single_vertex():
     g, _ = preset_graph("A1")
-    assert exhaustive_tau_min(g, (2,)) == -2
-    assert exhaustive_tau_min(g, (1,)) == 0
+    assert _tau_min_by_enumeration(g, (2,)) == -2
+    assert _tau_min_by_enumeration(g, (1,)) == 0
 
 
 def test_exhaustive_tau_chain_of_two():
     g, _ = preset_graph("A2")
-    assert exhaustive_tau_min(g, (1, 1)) == 1
-    assert exhaustive_tau_min(g, (1, 1)) == _tau_min_by_enumeration(g, (1, 1))
-
-
-def test_exhaustive_tau_matches_enumeration():
-    for name, target in [("A2", (2, 2)), ("A3", (1, 2, 1)),
-                         ("D4", (1, 1, 2, 1))]:
-        g, _ = preset_graph(name)
-        assert exhaustive_tau_min(g, target) == _tau_min_by_enumeration(
-            g, target), (name, target)
+    assert _tau_min_by_enumeration(g, (1, 1)) == 1
 
 
 def test_exhaustive_tau_never_beats_greedy():
+    """The greedy peak is a bound: it is never below the exact minimum."""
     for name, z in [("D4", (1, 1, 2, 1)), ("D4", (3, 3, 5, 3)),
                     ("A3", (2, 3, 2))]:
         g, _ = preset_graph(name)
         tau, _ = greedy_tau(g, z)
-        assert exhaustive_tau_min(g, z) <= tau
-
-
-def test_exhaustive_tau_budget():
-    """E8's cycle has ~10^14 sub-cycles: refused before any search."""
-    g, cyc = preset_graph("E8")
-    with pytest.raises(CyclesError, match="budget 2000000"):
-        exhaustive_tau_min(g, cyc)
+        assert _tau_min_by_enumeration(g, z) <= tau
 
 
 # ---------------------------------------------------------------------------
@@ -402,41 +387,3 @@ def test_choose_j_strictly_exceeds_both():
     for nu, n_max in [(2, 5), (3, 7), (5, 2)]:
         j = choose_j(nu, n_max, [2, 3, 5, 7])
         assert j > nu * n_max and j > 7
-
-
-# ---------------------------------------------------------------------------
-# per-step vanishing conditions
-
-
-def test_step_vanishing_star_center():
-    g, _ = preset_graph("D4")
-    assert step_vanishing_check(g, (1, 1, 2, 1), "d3") == (True, True)
-    # index form agrees with id form
-    assert step_vanishing_check(g, (1, 1, 2, 1), 2) == (True, True)
-
-
-def test_step_vanishing_boundary_case():
-    # genus 0 vertex pairing to exactly +4: first condition fails at 0
-    lines = ["vertex c genus=0 selfint=-2"]
-    for i in range(3):
-        lines.append(f"vertex l{i} genus=0 selfint=-2")
-        lines.append(f"edge c l{i}")
-    g = parse_graph("\n".join(lines))
-    cond1, cond2 = step_vanishing_check(g, (1, 2, 2, 2), "c")
-    assert not cond1          # 2(0-2) + 4 = 0, not < 0
-    assert not cond2          # 0 - 2 + 2 + 4 = 4, not < 0
-
-
-def test_step_vanishing_genus_one():
-    g = parse_graph("vertex a genus=1 selfint=-1\n"
-                    "vertex b genus=0 selfint=-2\n"
-                    "edge a b\n")
-    cond1, cond2 = step_vanishing_check(g, (1, 1), "a")
-    assert not cond1          # 2(2-2) + 0 = 0, not < 0
-    assert not cond2          # 2 - 2 + 1 + 0 = 1, not < 0
-
-
-def test_step_vanishing_needs_full_support():
-    g, _ = preset_graph("A2")
-    with pytest.raises(CyclesError):
-        step_vanishing_check(g, (1, 0), "a1")

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tautcheck.linalg as linalg
+from tautcheck.graph import preset_graph
 from tautcheck.linalg import (
     LinalgError,
     is_probable_prime,
@@ -22,6 +23,7 @@ from tautcheck.linalg import (
     rank_mod_p,
     sample_rank_primes,
 )
+from tautcheck.plumbing import build_model
 from tautcheck.sparse import SparseIntMatrix
 
 
@@ -107,6 +109,26 @@ def test_prime_helpers():
     assert not is_probable_prime(1)
     assert not is_probable_prime(561)        # Carmichael number
     assert not is_probable_prime(2**30)
+
+
+def _d4_model(j, primes):
+    return build_model(preset_graph("D4")[0], j, primes)
+
+
+@pytest.mark.parametrize("call, bad", [
+    # a float j once built a model with 660.0 rows
+    (lambda: _d4_model(11.0, [2, 3]), "11.0"),
+    (lambda: _d4_model(11, [2.0]), "2.0"),
+    # these two once raised TypeError from pow
+    (lambda: rank_mod_p(SparseIntMatrix.from_coo(1, 1, [(0, 0, 1)]), 7.0),
+     "7.0"),
+    (lambda: next_prime(6.5), "7.5"),
+], ids=["build_model-j", "build_model-prime", "rank_mod_p", "next_prime"])
+def test_non_integers_refused_as_primes(call, bad):
+    """`is_probable_prime` refuses a non-integer, so every prime check
+    built on it does."""
+    with pytest.raises(LinalgError, match=f"^{bad} is not an integer$"):
+        call()
 
 
 def test_sample_rank_primes_deterministic():

@@ -1,12 +1,11 @@
 """Plumbing models: slots, windows, generator catalogs, expansion and the
 assembled restriction matrix.
 
-The strongest check here rebuilds small matrices entry by entry through
-the scalar `expand_at_point` path and compares them against the
-vectorized assembly.
+The strongest check here rebuilds small matrices entry by entry with the
+scalar oracle of `plumbing_oracle`, written from the chart formulas, and
+compares them against the vectorized assembly.
 """
 
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -21,23 +20,18 @@ from tautcheck.cycles import (anti_ample_cycle, choose_j, make_coprime_to_all,
 from tautcheck.graph import parse_graph, preset_graph
 from tautcheck.linalg import next_prime, prove_rank_over_Q, rank_mod_p
 from tautcheck.plumbing import (
-    FAMILY_DX,
-    FAMILY_DX_EXTRA,
-    FAMILY_DY,
-    GeneratorColumn,
     PlumbingError,
     _point_rows,
     _row_ids,
     _window_mask,
     assemble_matrix,
     build_model,
-    enumerate_generators,
     estimate_assembly,
-    expand_at_point,
 )
 from tautcheck.sparse import read_matrix_text, write_matrix_text
 
-from rank_oracle import oracle_rank_dense, oracle_residues
+from plumbing_oracle import catalog, expand, oracle_matrix, with_slots
+from rank_oracle import oracle_dense, oracle_rank_dense, oracle_residues
 
 
 # ---------------------------------------------------------------------------
@@ -96,27 +90,6 @@ def test_build_model_rejects_bad_inputs():
         build_model(degenerate, 11, [2])
 
 
-def test_build_model_slot_assignment_overrides():
-    g, _ = preset_graph("D4")
-    center = g.index("d3")
-    m = build_model(g, 11, [2, 3, 5, 7],
-                    slot_assignment={center: ["1", "0", "inf"]})
-    assert list(m.slots[center].values())[0] == "1"
-    # other vertices keep the default
-    assert m.occupancy(g.index("d1")) == {"0"}
-
-
-def test_build_model_slot_assignment_validation():
-    g, _ = preset_graph("D4")
-    center = g.index("d3")
-    with pytest.raises(PlumbingError):
-        build_model(g, 11, [2], slot_assignment={center: ["0", "inf"]})
-    with pytest.raises(PlumbingError):
-        build_model(g, 11, [2], slot_assignment={center: ["0", "0", "1"]})
-    with pytest.raises(PlumbingError):
-        build_model(g, 11, [2], slot_assignment={center: ["0", "inf", "2"]})
-
-
 # ---------------------------------------------------------------------------
 # points and rows
 
@@ -169,59 +142,60 @@ def test_row_ids_layout():
 def test_generators_single_vertex_empty():
     g, _ = preset_graph("A1")
     m = build_model(g, 11, [2, 3, 5, 7])
-    assert enumerate_generators(m) == []
+    assert oracle_matrix(m) == (0, [], {})
     assert assemble_matrix(m).nrows == 0
     assert assemble_matrix(m).ncols == 0
 
 
 def test_generator_family_ranges_star():
+    """The oracle's catalog, from the grid rule, against the ranges
+    written out per family; assembly numbers the same 906 candidates."""
     g, _ = preset_graph("D4")
     m = build_model(g, 11, [2, 3, 5, 7])
-    cols = enumerate_generators(m, drop_zero_columns=False)
+    cols = catalog(m)
     center = g.index("d3")
     leaf = g.index("d1")
     nu, j = 2, 11
     by = {}
-    for c in cols:
-        by.setdefault((c.vertex, c.family), []).append((c.a, c.b))
+    for vertex, family, a, b in cols:
+        by.setdefault((vertex, family), []).append((a, b))
     # dy catalog is occupancy independent
     for v in (center, leaf):
-        assert by[(v, FAMILY_DY)] == [(a, b) for b in range(1, j)
-                                      for a in range(nu * (b - 1) + 1)]
+        assert by[(v, "dy")] == [(a, b) for b in range(1, j)
+                                 for a in range(nu * (b - 1) + 1)]
     # leaf (slot 0 occupied, no vanishing): 1 <= a <= nu*b + 1
-    assert by[(leaf, FAMILY_DX)] == [(a, b) for b in range(j)
-                                     for a in range(1, nu * b + 2)]
-    assert by[(leaf, FAMILY_DX_EXTRA)] == [(0, b) for b in range(j)]
+    assert by[(leaf, "dx")] == [(a, b) for b in range(j)
+                                for a in range(1, nu * b + 2)]
+    assert by[(leaf, "dx_extra")] == [(0, b) for b in range(j)]
     # center (all slots taken, vanishing at 1): 1 <= a <= nu*b, no extra
-    assert by[(center, FAMILY_DX)] == [(a, b) for b in range(j)
-                                       for a in range(1, nu * b + 1)]
-    assert (center, FAMILY_DX_EXTRA) not in by
-    assert len(cols) == 906
+    assert by[(center, "dx")] == [(a, b) for b in range(j)
+                                  for a in range(1, nu * b + 1)]
+    assert (center, "dx_extra") not in by
+    assert len(cols) == estimate_assembly(m)["candidate_columns"] == 906
 
 
 def test_generator_leaf_dy_b1_single_column():
     g, _ = preset_graph("D4")
     m = build_model(g, 11, [2, 3, 5, 7])
     leaf = g.index("d1")
-    cols = [c for c in enumerate_generators(m)
-            if c.vertex == leaf and c.family == FAMILY_DY and c.b == 1]
-    assert len(cols) == 1 and cols[0].a == 0
+    cols = [(a, b) for l, family, a, b in oracle_matrix(m)[1]
+            if (l, family, b) == (leaf, "dy", 1)]
+    assert cols == [(0, 1)]
 
 
 def test_generator_column_count_star_after_drop():
     g, _ = preset_graph("D4")
     m = build_model(g, 11, [2, 3, 5, 7])
-    cols = enumerate_generators(m)
     # 186 candidate columns restrict to zero in every window and are dropped
-    assert len(cols) == 720
+    assert estimate_assembly(m)["candidate_columns"] == 906
+    assert len(oracle_matrix(m)[1]) == 720
     mat = assemble_matrix(m)
     assert mat.ncols == 720
-    ids = [c.index for c in cols]
-    assert ids == list(range(720))
+    assert np.unique(mat.col).size == mat.ncols
 
 
 # ---------------------------------------------------------------------------
-# expansion at points
+# expansion at points: known values of the oracle
 
 
 def _model_chain_of_two(j=11, primes=(2, 3, 5, 7)):
@@ -231,14 +205,12 @@ def _model_chain_of_two(j=11, primes=(2, 3, 5, 7)):
 
 def test_expand_dy_at_slot0_point():
     g, m = _model_chain_of_two()
-    col = GeneratorColumn(None, 0, FAMILY_DY, a=0, b=1)
-    assert expand_at_point(col, 0, m) == {("dy", 0, 1): 1}
+    assert expand(m, (0, "dy", 0, 1), 0) == {("dy", 0, 1): 1}
 
 
 def test_expand_dx_at_slot0_point():
     g, m = _model_chain_of_two()
-    col = GeneratorColumn(None, 0, FAMILY_DX, a=1, b=0)
-    assert expand_at_point(col, 0, m) == {("dx", 1, 0): 1}
+    assert expand(m, (0, "dx", 1, 0), 0) == {("dx", 1, 0): 1}
 
 
 def test_expand_dy_at_slot1_point_binomial():
@@ -248,105 +220,65 @@ def test_expand_dy_at_slot1_point_binomial():
     center = g.index("d3")
     ei = next(e for e, s in m.slots[center].items() if s == "1")
     assert min(m.points[ei]) == center      # canonical side, no swap
-    col = GeneratorColumn(None, center, FAMILY_DY, a=1, b=1)
-    assert expand_at_point(col, ei, m) == {("dy", 0, 1): 1, ("dy", 1, 1): 1}
+    assert expand(m, (center, "dy", 1, 1), ei) == {("dy", 0, 1): 1,
+                                                   ("dy", 1, 1): 1}
 
 
 def test_expand_swapped_side():
     """On the non-canonical side the cross-gluing exchanges the kind and
     the exponents: y d/dy on the far vertex lands in a dx row."""
     g, m = _model_chain_of_two()
-    col = GeneratorColumn(None, 1, FAMILY_DY, a=0, b=1)
-    assert expand_at_point(col, 0, m) == {("dx", 1, 0): 1}
+    assert expand(m, (1, "dy", 0, 1), 0) == {("dx", 1, 0): 1}
 
 
 def test_expand_neighbor_only_point_is_zero():
     g, _ = preset_graph("A3")
     m = build_model(g, 5, [2, 3])
     # vertex a1's sections restrict to zero at the far point (a2, a3)
-    col = GeneratorColumn(None, 0, FAMILY_DY, a=0, b=1)
     assert m.points[1] == (1, 2)
-    assert expand_at_point(col, 1, m) == {}
-
-
-def test_expand_unrelated_point_rejected():
-    g, _ = preset_graph("A4")
-    m = build_model(g, 5, [2, 3])
-    col = GeneratorColumn(None, 0, FAMILY_DY, a=0, b=1)
-    assert m.points[2] == (2, 3)
-    with pytest.raises(PlumbingError):
-        expand_at_point(col, 2, m)
-
-
-@pytest.mark.parametrize("ei", [-1, 3, 7])
-def test_expand_edge_index_out_of_range_rejected(ei):
-    g, _ = preset_graph("A4")
-    m = build_model(g, 5, [2, 3])
-    col = GeneratorColumn(None, 0, FAMILY_DY, a=0, b=1)
-    with pytest.raises(PlumbingError, match=f"point {ei} is not an edge"):
-        expand_at_point(col, ei, m)
+    assert expand(m, (0, "dy", 0, 1), 1) == {}
 
 
 def test_expand_out_of_range_descriptor_errors_in_second_chart():
+    """The catalog's bound a <= nu (b - 1) on dy is where x0^a y0^b d/dy0
+    stays regular in chart 1; beyond it the chain rule gives a negative
+    exponent."""
     g, _ = preset_graph("D4")
     m = build_model(g, 11, [2, 3, 5, 7])
     center = g.index("d3")
     ei = next(e for e, s in m.slots[center].items() if s == "inf")
-    col = GeneratorColumn(None, center, FAMILY_DY, a=5, b=1)
-    with pytest.raises(PlumbingError):
-        expand_at_point(col, ei, m)
+    # a = nu (b - 1): x1^0 y1^2 d/dy1, seen from the canonical side d2
+    assert expand(m, (center, "dy", 2, 2), ei) == {("dx", 2, 0): 1}
+    with pytest.raises(ValueError, match="negative exponent"):
+        expand(m, (center, "dy", 5, 1), ei)
 
 
 # ---------------------------------------------------------------------------
 # assembly cross-validation
 
 
-def _row_id_in_test(ei, kind, e1, e2, j):
-    """Independent re-derivation of the row layout used by the matrix."""
-    if kind == "dx":
-        assert 1 <= e1 < j and 0 <= e2 < j
-        return ei * 2 * j * (j - 1) + (e1 - 1) * j + e2
-    assert 0 <= e1 < j and 1 <= e2 < j
-    return ei * 2 * j * (j - 1) + (j - 1) * j + e1 * (j - 1) + (e2 - 1)
-
-
-def _rebuild_from_expansions(model, j):
-    entries = {}
-    cols = enumerate_generators(model)
-    for col in cols:
-        for ei, (va, vb) in enumerate(model.points):
-            touches = col.vertex in (va, vb)
-            nearby = (va in model.neighbors(col.vertex)
-                      or vb in model.neighbors(col.vertex))
-            if not (touches or nearby):
-                continue
-            for (kind, e1, e2), val in expand_at_point(col, ei, model).items():
-                rid = _row_id_in_test(ei, kind, e1, e2, j)
-                key = (rid, col.index)
-                entries[key] = entries.get(key, 0) + val
-    return {k: v for k, v in entries.items() if v}
+def _assert_matches_oracle(model):
+    """The assembled matrix is the oracle's, entry for entry, with its
+    columns in catalog order and no empty column."""
+    mat = assemble_matrix(model)
+    nrows, columns, entries = oracle_matrix(model)
+    assert (mat.nrows, mat.ncols) == (nrows, len(columns))
+    assert np.unique(mat.col).size == mat.ncols
+    assert {(r, c): v for r, c, v in mat.entries()} == entries
 
 
 @pytest.mark.parametrize("name, j", [("A2", 5), ("A3", 5), ("D4", 5),
                                      ("D4", 11)])
 def test_assembly_matches_scalar_expansion(name, j):
     g, _ = preset_graph(name)
-    model = build_model(g, j, [2, 3])
-    mat = assemble_matrix(model)
-    expect = _rebuild_from_expansions(model, j)
-    got = {(r, c): v for r, c, v in mat.entries()}
-    assert got == expect
+    _assert_matches_oracle(build_model(g, j, [2, 3]))
 
 
 def test_assembly_matches_scalar_expansion_permuted_slots():
     g, _ = preset_graph("A3")
-    mid = 1
+    model = build_model(g, 5, [2, 3])
     for assign in itertools.permutations(["0", "inf", "1"], 2):
-        model = build_model(g, 5, [2, 3],
-                            slot_assignment={mid: list(assign)})
-        mat = assemble_matrix(model)
-        assert {(r, c): v for r, c, v in mat.entries()} == \
-            _rebuild_from_expansions(model, 5)
+        _assert_matches_oracle(with_slots(model, {1: assign}))
 
 
 @st.composite
@@ -364,7 +296,7 @@ def _small_trees(draw):
 
 
 @st.composite
-def _slot_assignments(draw, valence):
+def _random_slots(draw, valence):
     """Distinct random slots for the incident edges of every vertex."""
     return {l: list(draw(st.permutations(["0", "inf", "1"])))[:k]
             for l, k in enumerate(valence)}
@@ -374,26 +306,32 @@ def _slot_assignments(draw, valence):
 def _small_tree_models(draw):
     """A `_small_trees` model with random slots."""
     vertices, edges, valence, j = draw(_small_trees())
-    return build_model(parse_graph("".join(vertices + edges)), j, [2],
-                       slot_assignment=draw(_slot_assignments(valence)))
+    model = build_model(parse_graph("".join(vertices + edges)), j, [2])
+    return with_slots(model, draw(_random_slots(valence)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_small_tree_models())
 def test_estimate_and_assembly_agree_on_random_trees(model):
-    nnz = estimate_assembly(model)["nnz"]
-    mat = assemble_matrix(model)
-    assert nnz == mat.nnz == assemble_matrix(model,
-                                             drop_zero_columns=False).nnz
-    assert {(r, c): v for r, c, v in mat.entries()} == \
-        _rebuild_from_expansions(model, model.j)
+    est = estimate_assembly(model)
+    assert est["nnz"] == assemble_matrix(model).nnz
+    assert est["candidate_columns"] == len(catalog(model))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_tree_models())
+def test_zero_column_drop_matches_unique_on_random_trees(model):
+    """Assembly keeps exactly the columns `np.unique` finds, numbered in
+    catalog order: the oracle drops and numbers its own and agrees entry
+    for entry."""
+    _assert_matches_oracle(model)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_small_tree_models())
 def test_rank_mod_p_matches_dense_oracle_on_random_trees(model):
     mat = assemble_matrix(model)
-    dense = np.array(mat.to_dense(), dtype=object)
+    dense = np.array(oracle_dense(mat), dtype=object)
     for p in (2, 3, 5, 7):
         assert rank_mod_p(mat, p) == oracle_rank_dense(dense % p, p)
 
@@ -440,9 +378,9 @@ def test_ranks_invariant_under_relabeling_on_random_trees(tree, data):
 def test_ranks_invariant_under_slot_choice_on_random_trees(tree, data):
     vertices, edges, valence, j = tree
     g = parse_graph("".join(vertices + edges))
-    slots = data.draw(_slot_assignments(valence))
-    assert _ranks_off_j(build_model(g, j, [2], slot_assignment=slots)) == \
-        _ranks_off_j(build_model(g, j, [2]))
+    model = build_model(g, j, [2])
+    slots = data.draw(_random_slots(valence))
+    assert _ranks_off_j(with_slots(model, slots)) == _ranks_off_j(model)
 
 
 @settings(max_examples=100, deadline=None)
@@ -455,24 +393,6 @@ def test_modular_ranks_bounded_by_rational_rank_on_random_trees(model):
     assert rank_q <= min(mat.nrows, mat.ncols)
     for p in (2, 3, 5, 7, 11, 13):
         assert rank_mod_p(mat, p) <= rank_q
-
-
-@settings(max_examples=40, deadline=None)
-@given(_small_tree_models())
-def test_zero_column_drop_matches_unique_on_random_trees(model):
-    """The drop keeps the columns `np.unique` finds in the full matrix,
-    renumbered in order, entry for entry."""
-    full = assemble_matrix(model, drop_zero_columns=False)
-    kept = np.unique(full.col)
-    mat = assemble_matrix(model)
-    assert (mat.nrows, mat.ncols) == (full.nrows, kept.size)
-    assert mat.col.tolist() == np.searchsorted(kept, full.col).tolist()
-    assert mat.row.tolist() == full.row.tolist()
-    assert mat.values[mat.code].tolist() == full.values[full.code].tolist()
-    every = enumerate_generators(model, drop_zero_columns=False)
-    assert enumerate_generators(model) == [
-        dataclasses.replace(every[c], index=i)
-        for i, c in enumerate(kept.tolist())]
 
 
 @settings(max_examples=40, deadline=None)
@@ -551,18 +471,6 @@ def test_assembly_peak_within_estimate(source):
     finally:
         tracemalloc.stop()
     assert peak <= bound
-
-
-def test_zero_column_drop_preserves_rank():
-    g, _ = preset_graph("D4")
-    m = build_model(g, 11, [2, 3, 5, 7])
-    kept = assemble_matrix(m)
-    full = assemble_matrix(m, drop_zero_columns=False)
-    assert full.ncols == 906 and kept.ncols == 720
-    for p in (2, 3, 7):
-        assert rank_mod_p(kept, p) == rank_mod_p(full, p)
-    assert (prove_rank_over_Q(kept, ()).rank_q
-            == prove_rank_over_Q(full, ()).rank_q)
 
 
 def test_unshifted_points_have_small_entries():

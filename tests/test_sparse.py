@@ -1,6 +1,8 @@
 """The sparse integer matrix over a table of values, and its text format."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,14 +14,22 @@ from tautcheck.sparse import (
     SparseIntMatrix,
     SparseMatrixError,
     matrix_from_text,
-    matrix_to_text,
     read_matrix_text,
     write_matrix_text,
 )
 
-from rank_oracle import oracle_rank_dense, oracle_residues
+from rank_oracle import oracle_dense, oracle_rank_dense, oracle_residues
 
 REDUCTION_PRIMES = (2, 3, 5, 7, 2_147_483_629)
+
+
+def _to_text(matrix):
+    """The text `write_matrix_text` writes for `matrix`."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.txt")
+        write_matrix_text(matrix, path)
+        with open(path) as f:
+            return f.read()
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +39,7 @@ REDUCTION_PRIMES = (2, 3, 5, 7, 2_147_483_629)
 def test_from_coo_and_dense_round_trip():
     m = SparseIntMatrix.from_coo(2, 3, [(0, 0, 5), (1, 2, -7), (0, 1, 1)])
     assert m.nnz == 3
-    assert m.to_dense() == [[5, 1, 0], [0, 0, -7]]
+    assert oracle_dense(m) == [[5, 1, 0], [0, 0, -7]]
     assert list(m.entries()) == [(0, 0, 5), (0, 1, 1), (1, 2, -7)]
 
 
@@ -37,7 +47,7 @@ def test_empty_matrix():
     m = SparseIntMatrix.from_coo(0, 0, ())
     assert m.nnz == 0 and m.density == 0.0
     m = SparseIntMatrix.from_coo(4, 5, ())
-    assert m.to_dense() == [[0] * 5 for _ in range(4)]
+    assert oracle_dense(m) == [[0] * 5 for _ in range(4)]
 
 
 def test_factored_values_are_exact():
@@ -46,7 +56,7 @@ def test_factored_values_are_exact():
                         [-1, 3 * math.comb(10, 4)])
     assert m.value(0) == 3 * math.comb(10, 4)
     assert m.value(1) == -1
-    assert m.to_dense() == [[630, 0], [0, -1]]
+    assert oracle_dense(m) == [[630, 0], [0, -1]]
 
 
 def test_huge_literal_values_stay_exact():
@@ -58,15 +68,15 @@ def test_huge_literal_values_stay_exact():
         fits = -(1 << 63) <= v < 1 << 63
         assert m.values.dtype == (np.int64 if fits else object)
         assert m.value(0) == v
-        assert m.to_dense() == [[2, v], [0, -3]]
-        back = matrix_from_text(matrix_to_text(m))
+        assert oracle_dense(m) == [[2, v], [0, -3]]
+        back = matrix_from_text(_to_text(m))
         assert back.values.dtype == m.values.dtype
-        assert back.to_dense() == m.to_dense()
-        assert matrix_to_text(back) == matrix_to_text(m)
+        assert oracle_dense(back) == oracle_dense(m)
+        assert _to_text(back) == _to_text(m)
         for p in (2, 3, 97, 2_147_483_629):
             assert _residues(m, p) == sorted((r, c, x % p)
                                              for r, c, x in triples if x % p)
-            dense = np.array(m.to_dense(), dtype=object) % p
+            dense = np.array(oracle_dense(m), dtype=object) % p
             assert rank_mod_p(m, p) == oracle_rank_dense(dense, p)
     # the constructor keeps an exact int beyond int64 given in a list
     m = SparseIntMatrix(1, 1, [0], [0], [0], [1 << 63])
@@ -76,7 +86,7 @@ def test_huge_literal_values_stay_exact():
 def test_from_coo_accepts_an_empty_iterator():
     m = SparseIntMatrix.from_coo(2, 2, iter(()))
     assert m.nnz == 0 and m.values.dtype == np.int64
-    assert m.to_dense() == [[0, 0], [0, 0]]
+    assert oracle_dense(m) == [[0, 0], [0, 0]]
     assert rank_mod_p(m, 2) == 0
 
 
@@ -139,7 +149,7 @@ def test_constructor_rejects_float_arrays():
     # the same values as integers, numpy or exact, are accepted
     ints = SparseIntMatrix(2, 2, [np.int32(0)], np.array([1], dtype=np.uint8),
                            [np.int64(0)], np.array([6], dtype=object))
-    assert ints.to_dense() == [[0, 6], [0, 0]]
+    assert oracle_dense(ints) == [[0, 6], [0, 0]]
 
 
 def test_uint64_values_beyond_int64_stay_exact():
@@ -147,9 +157,9 @@ def test_uint64_values_beyond_int64_stay_exact():
     used to wrap to a negative int64."""
     big = np.array([1 << 63, 5], dtype=np.uint64)
     m = SparseIntMatrix(1, 2, [0, 0], [0, 1], [0, 1], big)
-    assert m.values.dtype == object and m.to_dense() == [[1 << 63, 5]]
+    assert m.values.dtype == object and oracle_dense(m) == [[1 << 63, 5]]
     small = SparseIntMatrix(1, 1, [0], [0], [0], big[1:])
-    assert small.values.dtype == np.int64 and small.to_dense() == [[5]]
+    assert small.values.dtype == np.int64 and oracle_dense(small) == [[5]]
 
 
 def test_stored_dtypes_pass_uncopied():
@@ -234,11 +244,11 @@ def test_entry_order_changes_no_result(case):
     fits = all(-(1 << 63) <= v < 1 << 63 for _, _, v in triples)
     assert m.values.dtype == given_order.values.dtype == \
         (np.int64 if fits else object)
-    assert matrix_to_text(m) == matrix_to_text(given_order)
+    assert _to_text(m) == _to_text(given_order)
     dense = [[0] * ncols for _ in range(nrows)]
     for r, c, v in triples:
         dense[r][c] = v
-    assert m.to_dense() == given_order.to_dense() == dense
+    assert oracle_dense(m) == oracle_dense(given_order) == dense
     for p in (2, 3, 97):
         expect = sorted((r, c, v % p) for r, c, v in triples if v % p)
         assert _residues(m, p) == _residues(given_order, p) == expect
@@ -331,16 +341,16 @@ def test_factored_mod_uses_binomials():
 
 def test_text_round_trip():
     m = SparseIntMatrix.from_coo(3, 4, [(0, 0, 12), (2, 3, -5), (1, 1, 10**40)])
-    text = matrix_to_text(m)
+    text = _to_text(m)
     back = matrix_from_text(text)
     assert back.nrows == 3 and back.ncols == 4
     assert list(back.entries()) == list(m.entries())
-    assert matrix_to_text(back) == text
+    assert _to_text(back) == text
 
 
 def test_text_format_shape():
     m = SparseIntMatrix.from_coo(2, 2, [(1, 0, -3)])
-    lines = matrix_to_text(m).splitlines()
+    lines = _to_text(m).splitlines()
     assert lines[0] == "2 2 M"
     assert lines[1] == "2 1 -3"       # 1-based coordinates
     assert lines[-1] == "0 0 0"
@@ -348,7 +358,7 @@ def test_text_format_shape():
 
 def test_text_empty_matrix():
     m = SparseIntMatrix.from_coo(0, 0, ())
-    assert matrix_to_text(m) == "0 0 M\n0 0 0\n"
+    assert _to_text(m) == "0 0 M\n0 0 0\n"
     back = matrix_from_text("0 0 M\n0 0 0\n")
     assert back.nrows == back.ncols == back.nnz == 0
 
@@ -356,7 +366,7 @@ def test_text_empty_matrix():
 def test_text_accepts_any_entry_order():
     text = "2 2 M\n2 2 4\n1 1 3\n0 0 0\n"
     m = matrix_from_text(text)
-    assert m.to_dense() == [[3, 0], [0, 4]]
+    assert oracle_dense(m) == [[3, 0], [0, 4]]
 
 
 @pytest.mark.parametrize("text, err", [
