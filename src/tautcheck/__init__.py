@@ -10,13 +10,12 @@ __version__ = "0.1.0"
 
 from .graph import (DualGraph, GraphError, VertexData, intersection_matrix,
                     is_connected, is_negative_definite, parse_graph,
-                    preset_graph, serialize_graph)
+                    preset_graph)
 from .cycles import (CyclesError, MultiplicityPlan, anti_ample_cycle,
                      choose_j, fundamental_cycle, greedy_tau, is_anti_ample,
                      make_coprime_to_all, significant_multiplicity_to_all,
                      vanishing_floor)
-from .sparse import (SparseIntMatrix, SparseMatrixError, matrix_from_text,
-                     read_matrix_text, write_matrix_text)
+from .sparse import SparseIntMatrix, SparseMatrixError, write_matrix_text
 from .plumbing import (PlumbingError, PlumbingModel, assemble_matrix,
                        build_model, estimate_assembly)
 from .linalg import (LinalgError, is_probable_prime, next_prime,
@@ -25,13 +24,11 @@ from .linalg import (LinalgError, is_probable_prime, next_prime,
 __all__ = [
     "DualGraph", "GraphError", "VertexData", "intersection_matrix",
     "is_connected", "is_negative_definite", "parse_graph", "preset_graph",
-    "serialize_graph",
     "CyclesError", "MultiplicityPlan", "anti_ample_cycle", "choose_j",
     "fundamental_cycle", "greedy_tau", "is_anti_ample",
     "make_coprime_to_all", "significant_multiplicity_to_all",
     "vanishing_floor",
-    "SparseIntMatrix", "SparseMatrixError", "matrix_from_text",
-    "read_matrix_text", "write_matrix_text",
+    "SparseIntMatrix", "SparseMatrixError", "write_matrix_text",
     "PlumbingError", "PlumbingModel", "assemble_matrix", "build_model",
     "estimate_assembly",
     "LinalgError", "is_probable_prime", "next_prime", "prove_rank_over_Q",

@@ -50,15 +50,6 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _graph_summary(g: DualGraph, preset: str | None) -> dict:
-    return {
-        "preset": preset,
-        "vertices": g.n,
-        "edges": len(g.edges),
-        "ids": list(g.ids),
-    }
-
-
 def _refusal(base: dict, stage: str, reasons: list[str]) -> dict:
     report = dict(base)
     report["status"] = "refused"
@@ -107,6 +98,10 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
                              f"integer")
     if j is not None and not isinstance(j, numbers.Integral):
         raise ValueError(f"multiplicity j = {j!r} is not an integer")
+    if mem_cap is not None and not (isinstance(mem_cap, numbers.Integral)
+                                    and mem_cap >= 0):
+        raise ValueError(f"memory cap {mem_cap!r} is not a non-negative "
+                         f"integer")
     primes = sorted({int(p) for p in primes})
     if not primes:
         raise ValueError("need at least one candidate prime")
@@ -116,7 +111,8 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
                    else "is not prime")
             raise ValueError(f"candidate characteristic {p} {why}")
     base = {"tool": "tautcheck", "version": __version__,
-            "graph": _graph_summary(g, label)}
+            "graph": {"preset": label, "vertices": g.n,
+                      "edges": len(g.edges), "ids": list(g.ids)}}
 
     # stage: combinatorial checks
     reasons = admissibility_violations(g)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .graph import (DualGraph, VertexData, intersection_matrix,
                     is_connected, is_negative_definite)
-from .linalg import next_prime
+from .linalg import is_valid_modulus, next_prime
 
 # safety bound on the Laufer iterations; they terminate on negative-definite
 # graphs long before it
@@ -93,6 +93,13 @@ def _next_coprime(x: int, q: int) -> int:
     return x
 
 
+def _check_primes(primes: list[int]) -> None:
+    """Refuse a candidate that is not a prime below 2^31."""
+    if not all(map(is_valid_modulus, primes)):
+        raise CyclesError(f"candidates must be primes below 2^31, got "
+                          f"{list(primes)}")
+
+
 def _coupling_bound(m: list[list[int]]) -> int:
     """t = max_i of E_i . (sum of all other vertices) — the largest
     off-diagonal row sum of the intersection matrix."""
@@ -116,17 +123,14 @@ def make_coprime_to_all(g: DualGraph, z: tuple[int, ...],
     per prime in sequence does not converge: each pass can destroy the
     previous one.)  An input already coprime to every prime passes
     through, since the analysis pipeline prefers the smallest usable
-    cycle; a prime 1 imposes no condition.
+    cycle; with no primes, every input does.  Every entry of `primes`
+    must be a prime below 2^31.
     """
     _check_cycle_arg(g, z)
     if not is_anti_ample(g, z):
         raise CyclesError("make_coprime_to_all requires an anti-ample cycle")
-    if any(p < 1 for p in primes):
-        raise CyclesError(f"primes must be >= 1, got {list(primes)}")
-    ps = sorted({p for p in primes if p != 1})
-    if not ps:
-        return tuple(z)
-    q = math.prod(ps)
+    _check_primes(primes)
+    q = math.prod(set(primes))
     if all(math.gcd(c, q) == 1 for c in z):
         return tuple(z)
 
@@ -140,7 +144,7 @@ def make_coprime_to_all(g: DualGraph, z: tuple[int, ...],
             if not is_anti_ample(g, result) or \
                     any(math.gcd(c, q) != 1 for c in result):
                 raise CyclesError(f"internal check failed: {result} is not "
-                                  f"an anti-ample cycle prime to {ps}")
+                                  f"an anti-ample cycle prime to {q}")
             return result
         m = m_used
 
@@ -222,12 +226,12 @@ def significant_multiplicity_to_all(g: DualGraph, zbar: tuple[int, ...],
     condition.  In ``strict`` mode nu is the smallest value >= lambda +
     tau + 1 coprime to every prime in `primes` at once (taking the max of
     per-prime answers would be wrong), additionally >= 2 when some
-    coefficient of `zbar` is 1.  A prime 1 imposes no condition.
+    coefficient of `zbar` is 1.  Every entry of `primes` must be a
+    prime below 2^31.
     """
     if mode not in ("paper", "strict"):
         raise CyclesError(f"unknown mode {mode!r}")
-    if any(p < 1 for p in primes):
-        raise CyclesError(f"primes must be >= 1, got {list(primes)}")
+    _check_primes(primes)
     lam = vanishing_floor(g)
     tau, beta = greedy_tau(g, zbar)
     nu = lam + tau + 1

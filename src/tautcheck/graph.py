@@ -1,10 +1,10 @@
 """Resolution dual graphs: parsing, presets, and combinatorial checks.
 
 A dual graph is a finite weighted multigraph.  Vertices carry a genus
-(``genus >= 0``), a self-intersection number (``selfint < 0``) and an
-optional multiplicity decoration (``mult >= 1``, carried through for
-reporting only).  Edges are unordered pairs of distinct vertices; parallel
-edges are allowed, loops are not.
+(``genus >= 0``) and a self-intersection number (``selfint < 0``); an
+optional ``mult >= 1`` is validated, then dropped, as nothing reads it.
+Edges are unordered pairs of distinct vertices; parallel edges are
+allowed, loops are not.
 
 The text format is line based::
 
@@ -31,7 +31,6 @@ class VertexData:
 
     genus: int
     selfint: int
-    mult: int | None = None
 
 
 @dataclass
@@ -57,12 +56,6 @@ class DualGraph:
     def n(self) -> int:
         return len(self.ids)
 
-    def index(self, vid: str) -> int:
-        try:
-            return self.ids.index(vid)
-        except ValueError:
-            raise GraphError(f"unknown vertex id {vid!r}") from None
-
     def add_vertex(self, vid: str, genus: int, selfint: int,
                    mult: int | None = None) -> None:
         if vid in self.data:
@@ -74,7 +67,7 @@ class DualGraph:
         if mult is not None and mult < 1:
             raise GraphError(f"vertex {vid!r}: mult must be >= 1")
         self.ids.append(vid)
-        self.data[vid] = VertexData(genus, selfint, mult)
+        self.data[vid] = VertexData(genus, selfint)
 
     def add_edge(self, a: str, b: str) -> None:
         if a not in self.data:
@@ -157,20 +150,6 @@ def parse_graph(text: str) -> DualGraph:
         except GraphError as exc:
             raise GraphError(f"line {lineno}: {exc}") from None
     return g
-
-
-def serialize_graph(g: DualGraph) -> str:
-    """Serialize a graph back to the text format (round-trips parse_graph)."""
-    out = []
-    for vid in g.ids:
-        d = g.data[vid]
-        line = f"vertex {vid} genus={d.genus} selfint={d.selfint}"
-        if d.mult is not None:
-            line += f" mult={d.mult}"
-        out.append(line)
-    for a, b in g.edges:
-        out.append(f"edge {a} {b}")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

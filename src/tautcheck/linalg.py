@@ -73,7 +73,9 @@ def is_valid_modulus(p: int) -> bool:
 
 
 def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
+    """Smallest prime strictly greater than the integer n."""
+    if not isinstance(n, numbers.Integral):
+        raise LinalgError(f"{n!r} is not an integer")
     m = n + 1
     while not is_probable_prime(m):
         m += 1

@@ -62,9 +62,6 @@ class PlumbingModel:
     points: list[tuple[int, int]]     # per edge: its endpoints as declared
     row_count: int
 
-    def occupancy(self, l: int) -> frozenset[str]:
-        return frozenset(self.slots[l].values())
-
 
 def build_model(g: DualGraph, j: int, primes: list[int]) -> PlumbingModel:
     """Validate the graph and fix charts, slots and row layout.
@@ -179,7 +176,7 @@ def _candidate_columns(model: PlumbingModel) -> list[_ColumnBatch]:
     batches: list[_ColumnBatch] = []
     col, j = 0, model.j
     for l, nu in enumerate(model.nu):
-        occ = model.occupancy(l)
+        occ = model.slots[l].values()
         vanish_one = SLOT1 in occ
         grid = [(FAMILY_DY, 1, 0, nu, -nu),
                 (FAMILY_DX, 0, int(SLOT0 in occ), nu, int(not vanish_one))]

@@ -10,14 +10,14 @@ its residue up per entry.  `values` is int64, or an object array of
 exact ints when a value does not fit int64.
 
 Rows and columns are int32; a shape of 2^31 or more is refused.
-Entries are stored in the order they are given; `entries()` and the
-text format list them in row-major order (row, then column).  No
-duplicate coordinates and no zero values are allowed.
+Entries are stored in the order they are given; `write_matrix_text`
+writes them in row-major order (row, then column).  No duplicate
+coordinates and no zero values are allowed.
 
-Text format::
+Text format, written for other tools to read::
 
     <nrows> <ncols> M
-    <row> <col> <value>        # 1-based coordinates, any order
+    <row> <col> <value>        # 1-based coordinates, row-major order
     ...
     0 0 0
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 
 class SparseMatrixError(ValueError):
-    """Raised for malformed matrix data or files."""
+    """Raised for malformed matrix data."""
 
 
 def _exact_ints(what: str, a, dtype, wide: bool = False) -> np.ndarray:
@@ -127,14 +127,6 @@ class SparseIntMatrix:
         cells = self.nrows * self.ncols
         return self.nnz / cells if cells else 0.0
 
-    def value(self, i: int) -> int:
-        return int(self.values[self.code[i]])
-
-    def entries(self):
-        """Yield (row, col, exact int value) in row-major order."""
-        for i in np.lexsort((self.col, self.row)).tolist():
-            yield int(self.row[i]), int(self.col[i]), self.value(i)
-
     # -- modular reduction -------------------------------------------------
 
     def arrays_mod(self, p: int):
@@ -150,58 +142,21 @@ class SparseIntMatrix:
 # ---------------------------------------------------------------------------
 # text format
 
+# entries formatted per write: bounds the text held in memory at once
+_WRITE_SLICE = 1 << 16
+
 
 def write_matrix_text(matrix: SparseIntMatrix, path: str) -> None:
-    """Write the matrix to `path` in the triple format: header, entries
-    (1-based indices, row-major order), '0 0 0' terminator."""
+    """Write the matrix to `path` in the text format: header, entries
+    (1-based indices, row-major order), '0 0 0' terminator.  Each
+    distinct value is formatted once."""
+    order = np.lexsort((matrix.col, matrix.row))
+    value_lines = [f"{v}\n" for v in matrix.values.tolist()]
     with open(path, "w") as f:
         f.write(f"{matrix.nrows} {matrix.ncols} M\n")
-        f.writelines(f"{r + 1} {c + 1} {v}\n" for r, c, v in matrix.entries())
+        for start in range(0, order.size, _WRITE_SLICE):
+            at = order[start:start + _WRITE_SLICE]
+            f.write("".join([f"{r} {c} {value_lines[k]}" for r, c, k in zip(
+                (matrix.row[at] + 1).tolist(), (matrix.col[at] + 1).tolist(),
+                matrix.code[at].tolist())]))
         f.write("0 0 0\n")
-
-
-def matrix_from_text(text: str) -> SparseIntMatrix:
-    """Parse the triple format.  Entries may come in any order; duplicate
-    coordinates, zero values, out-of-range indices, or a missing
-    terminator are errors."""
-    lines = text.splitlines()
-    if not lines:
-        raise SparseMatrixError("empty matrix file")
-    head = lines[0].split()
-    if len(head) != 3 or head[2] != "M":
-        raise SparseMatrixError(f"bad header line {lines[0]!r}")
-    try:
-        nrows, ncols = int(head[0]), int(head[1])
-    except ValueError:
-        raise SparseMatrixError(f"bad header line {lines[0]!r}") from None
-    triples: list[tuple[int, int, int]] = []
-    done = False
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if done:
-            raise SparseMatrixError(f"line {lineno}: content after terminator")
-        parts = line.split()
-        if len(parts) != 3:
-            raise SparseMatrixError(f"line {lineno}: expected 3 fields")
-        try:
-            r, c, v = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise SparseMatrixError(f"line {lineno}: non-integer field") from None
-        if r == 0 and c == 0 and v == 0:
-            done = True
-            continue
-        if not (1 <= r <= nrows and 1 <= c <= ncols):
-            raise SparseMatrixError(f"line {lineno}: index out of range")
-        if v == 0:
-            raise SparseMatrixError(f"line {lineno}: explicit zero entry")
-        triples.append((r - 1, c - 1, v))
-    if not done:
-        raise SparseMatrixError("missing '0 0 0' terminator")
-    return SparseIntMatrix.from_coo(nrows, ncols, triples)
-
-
-def read_matrix_text(path: str) -> SparseIntMatrix:
-    with open(path) as f:
-        return matrix_from_text(f.read())

@@ -178,7 +178,7 @@ def test_criterion_06_relabeling_and_slot_invariance():
         return tuple(rank_mod_p(mat, p) for p in (2, 3, 5, 7, BIG_PRIME))
 
     star, _ = preset_graph("D4")
-    center = star.index("d3")
+    center = star.ids.index("d3")
     leaves = [i for i in range(4) if i != center]
     base_star = rank_profile(star, {})
     assert base_star == (659, 660, 660, 660, 660)

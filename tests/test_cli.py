@@ -23,10 +23,13 @@ import tautcheck.linalg as linalg
 from tautcheck import __version__
 from tautcheck.cli import analyze, main, render_text
 from tautcheck.cycles import CyclesError
-from tautcheck.graph import parse_graph, preset_graph, serialize_graph
+from tautcheck.graph import parse_graph, preset_graph
 from tautcheck.linalg import LinalgError, rank_mod_p, sample_rank_primes
-from tautcheck.plumbing import PlumbingError, build_model
-from tautcheck.sparse import read_matrix_text
+from tautcheck.plumbing import PlumbingError, assemble_matrix, build_model
+from tautcheck.sparse import SparseIntMatrix
+
+from graph_writer import graph_text
+from rank_oracle import parse_matrix_text, triples
 
 STAR_H1 = {"q": 0, "p2": 1, "p3": 0, "p5": 0, "p7": 0}
 STAR_RANK = {"q": 660, "p2": 659, "p3": 660, "p5": 660, "p7": 660}
@@ -229,6 +232,18 @@ def test_analyze_mem_cap_refusal():
     assert "results" not in r
 
 
+def test_analyze_bad_mem_cap_rejected():
+    """A negative or non-integer cap is a usage error, not a refusal at
+    assembly: a cap of -5 used to refuse even A1's 0-byte model, and 2.5
+    ran the float compare."""
+    for preset, bad in (("A1", -5), ("D4", -1), ("D4", 2.5), ("D4", "9")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"memory cap {bad!r} is not a non-negative integer")):
+            analyze(preset=preset, mem_cap=bad)
+    assert analyze(preset="A1", mem_cap=0)["status"] == "ok"
+    assert analyze(preset="D4", mem_cap=np.int64(10**12))["status"] == "ok"
+
+
 def test_analyze_default_mem_cap_is_physical_memory(monkeypatch):
     monkeypatch.setattr(cli, "_physical_memory", lambda: 1000)
     r = analyze(preset="D4")
@@ -390,7 +405,7 @@ def test_main_non_prime_candidate_errors_at_once(tmp_path):
     repair of the computed cycle used to hang on a candidate 0, and a
     prime of 2^31 or more reached assembly with j above 2^31."""
     path = tmp_path / "d4.txt"
-    path.write_text(serialize_graph(preset_graph("D4")[0]))
+    path.write_text(graph_text(preset_graph("D4")[0]))
     env = {**os.environ,
            "PYTHONPATH": str(Path(tautcheck.__file__).resolve().parents[1])}
     for primes, why in (("0", "is not prime"), ("2,4", "is not prime"),
@@ -411,6 +426,13 @@ def test_main_mem_cap_flag(capsys):
     assert "memory cap" in out
 
 
+def test_main_negative_mem_cap_is_usage_error(capsys):
+    code, out, err = _run(capsys, ["analyze", "--preset", "D4",
+                                   "--mem-cap", "-1"])
+    assert (code, out) == (1, "")
+    assert err == "error: memory cap -1 is not a non-negative integer\n"
+
+
 # ---------------------------------------------------------------------------
 # command line: export
 
@@ -420,9 +442,11 @@ def test_main_export_star(tmp_path, capsys):
     code, _, _ = _run(capsys, ["analyze", "--preset", "D4",
                                "--export-matrix", str(path)])
     assert code == 0
-    with open(path) as f:
-        assert f.readline().strip() == "660 720 M"
-    assert rank_mod_p(read_matrix_text(str(path)), 2) == 659
+    mat = assemble_matrix(build_model(preset_graph("D4")[0], 11,
+                                      [2, 3, 5, 7]))
+    parsed = parse_matrix_text(path.read_text())
+    assert parsed == (660, 720, sorted(triples(mat)))
+    assert rank_mod_p(SparseIntMatrix.from_coo(*parsed), 2) == 659
 
 
 def test_main_export_single_vertex(tmp_path, capsys):
@@ -491,7 +515,7 @@ def test_serialize_parse_round_trip_keeps_report(tmp_path, capsys):
     from tautcheck.graph import preset_graph
     g, _ = preset_graph("A3")
     path = tmp_path / "a3.txt"
-    path.write_text(serialize_graph(g))
+    path.write_text(graph_text(g))
     code, out, _ = _run(capsys, ["analyze", "--graph", str(path),
                                  "--format", "structured"])
     assert code == 0

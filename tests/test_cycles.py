@@ -45,7 +45,7 @@ def test_fundamental_star():
     g, _ = preset_graph("D4")
     z = fundamental_cycle(g)
     assert z == (1, 1, 2, 1)
-    assert z[g.index("d3")] == 2
+    assert z[g.ids.index("d3")] == 2
 
 
 def test_fundamental_matches_box_brute_force():
@@ -114,8 +114,12 @@ def test_is_anti_ample_rejects():
 
 
 def test_make_coprime_passthrough_p1():
+    """An empty list imposes no condition; 1 is refused, not read as
+    "no condition"."""
     g, _ = preset_graph("A2")
-    assert make_coprime_to_all(g, (1, 1), [1]) == (1, 1)
+    assert make_coprime_to_all(g, (1, 1), []) == (1, 1)
+    with pytest.raises(CyclesError, match=r"primes below 2\^31, got \[1\]"):
+        make_coprime_to_all(g, (1, 1), [1])
 
 
 def test_make_coprime_star_at_7_passthrough():
@@ -148,9 +152,10 @@ def test_make_coprime_rejects_non_anti_ample():
 
 
 def test_make_coprime_rejects_p_below_one():
-    """0 once made the bump search loop forever on gcd(x, 0) = x."""
+    """0 once made the bump search loop forever on gcd(x, 0) = x; 1 and
+    the composite 4 once passed D4's (3, 3, 5, 3) through."""
     g, cyc = preset_graph("D4")
-    for p in (0, -3):
+    for p in (0, -3, 1, 4, 1 << 31):
         with pytest.raises(CyclesError):
             make_coprime_to_all(g, cyc, [p])
 
@@ -175,7 +180,7 @@ def test_make_coprime_to_all_passthrough_when_coprime():
 
 def test_make_coprime_to_all_rejects_entries_below_one():
     g, cyc = preset_graph("D4")
-    for primes in ([2, 0], [5, -3]):
+    for primes in ([2, 0], [5, -3], [2, 1], [5, 9]):
         with pytest.raises(CyclesError):
             make_coprime_to_all(g, cyc, primes)
 
@@ -316,7 +321,7 @@ def test_exhaustive_tau_never_beats_greedy():
 
 def test_nu_default_mode_star():
     g, cyc = preset_graph("D4")
-    plan = significant_multiplicity_to_all(g, cyc, [1])
+    plan = significant_multiplicity_to_all(g, cyc, [])
     assert isinstance(plan, MultiplicityPlan)
     assert (plan.lambda_bound, plan.tau, plan.nu) == (0, 1, 2)
     assert plan.mode == "paper"
@@ -328,16 +333,16 @@ def test_nu_strict_mode_avoids_the_prime():
     assert plan.nu == 3
     plan = significant_multiplicity_to_all(g, cyc, [3], mode="strict")
     assert plan.nu == 2
-    plan = significant_multiplicity_to_all(g, cyc, [1], mode="strict")
+    plan = significant_multiplicity_to_all(g, cyc, [], mode="strict")
     assert plan.nu == 2
 
 
 def test_nu_unit_coefficient_clause():
     g, _ = preset_graph("A1")
-    plan = significant_multiplicity_to_all(g, (1,), [1], mode="strict")
+    plan = significant_multiplicity_to_all(g, (1,), [], mode="strict")
     assert plan.nu == 2
     # paper mode has the floor of 2 built in
-    plan = significant_multiplicity_to_all(g, (1,), [1], mode="paper")
+    plan = significant_multiplicity_to_all(g, (1,), [], mode="paper")
     assert plan.nu == 2
 
 
@@ -360,11 +365,13 @@ def test_nu_rejects_unknown_mode():
 
 
 def test_nu_rejects_primes_below_one():
-    # in strict mode a 0 made the coprimality search loop forever
+    # in strict mode a 0 made the coprimality search loop forever, and
+    # the composite 4 gave nu = 3 for D4
     g, cyc = preset_graph("D4")
-    for primes in ([0], [2, -3]):
-        with pytest.raises(CyclesError):
-            significant_multiplicity_to_all(g, cyc, primes, mode="strict")
+    for primes in ([0], [2, -3], [1], [4], [2, 1 << 31]):
+        for mode in ("strict", "paper"):
+            with pytest.raises(CyclesError):
+                significant_multiplicity_to_all(g, cyc, primes, mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def _d4_model(j, primes):
     # these two once raised TypeError from pow
     (lambda: rank_mod_p(SparseIntMatrix.from_coo(1, 1, [(0, 0, 1)]), 7.0),
      "7.0"),
-    (lambda: next_prime(6.5), "7.5"),
+    (lambda: next_prime(6.5), "6.5"),
 ], ids=["build_model-j", "build_model-prime", "rank_mod_p", "next_prime"])
 def test_non_integers_refused_as_primes(call, bad):
     """`is_probable_prime` refuses a non-integer, so every prime check

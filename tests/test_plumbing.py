@@ -28,10 +28,11 @@ from tautcheck.plumbing import (
     build_model,
     estimate_assembly,
 )
-from tautcheck.sparse import read_matrix_text, write_matrix_text
+from tautcheck.sparse import SparseIntMatrix, write_matrix_text
 
 from plumbing_oracle import catalog, expand, oracle_matrix, with_slots
-from rank_oracle import oracle_dense, oracle_rank_dense, oracle_residues
+from rank_oracle import (oracle_dense, oracle_rank_dense, oracle_residues,
+                         parse_matrix_text, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -41,10 +42,10 @@ from rank_oracle import oracle_dense, oracle_rank_dense, oracle_residues
 def test_build_model_star_slots():
     g, _ = preset_graph("D4")
     m = build_model(g, 11, [2, 3, 5, 7])
-    center = g.index("d3")
-    assert m.occupancy(center) == {"0", "inf", "1"}
+    center = g.ids.index("d3")
+    assert set(m.slots[center].values()) == {"0", "inf", "1"}
     for vid in ["d1", "d2", "d4"]:
-        assert m.occupancy(g.index(vid)) == {"0"}
+        assert set(m.slots[g.ids.index(vid)].values()) == {"0"}
     assert m.nu == [2, 2, 2, 2]
     assert m.j == 11
     assert m.row_count == 660
@@ -153,8 +154,8 @@ def test_generator_family_ranges_star():
     g, _ = preset_graph("D4")
     m = build_model(g, 11, [2, 3, 5, 7])
     cols = catalog(m)
-    center = g.index("d3")
-    leaf = g.index("d1")
+    center = g.ids.index("d3")
+    leaf = g.ids.index("d1")
     nu, j = 2, 11
     by = {}
     for vertex, family, a, b in cols:
@@ -177,7 +178,7 @@ def test_generator_family_ranges_star():
 def test_generator_leaf_dy_b1_single_column():
     g, _ = preset_graph("D4")
     m = build_model(g, 11, [2, 3, 5, 7])
-    leaf = g.index("d1")
+    leaf = g.ids.index("d1")
     cols = [(a, b) for l, family, a, b in oracle_matrix(m)[1]
             if (l, family, b) == (leaf, "dy", 1)]
     assert cols == [(0, 1)]
@@ -217,7 +218,7 @@ def test_expand_dy_at_slot1_point_binomial():
     # the center of the star hosts its third edge at the shifted slot "1"
     g, _ = preset_graph("D4")
     m = build_model(g, 11, [2, 3, 5, 7])
-    center = g.index("d3")
+    center = g.ids.index("d3")
     ei = next(e for e, s in m.slots[center].items() if s == "1")
     assert min(m.points[ei]) == center      # canonical side, no swap
     assert expand(m, (center, "dy", 1, 1), ei) == {("dy", 0, 1): 1,
@@ -245,7 +246,7 @@ def test_expand_out_of_range_descriptor_errors_in_second_chart():
     exponent."""
     g, _ = preset_graph("D4")
     m = build_model(g, 11, [2, 3, 5, 7])
-    center = g.index("d3")
+    center = g.ids.index("d3")
     ei = next(e for e, s in m.slots[center].items() if s == "inf")
     # a = nu (b - 1): x1^0 y1^2 d/dy1, seen from the canonical side d2
     assert expand(m, (center, "dy", 2, 2), ei) == {("dx", 2, 0): 1}
@@ -264,7 +265,7 @@ def _assert_matches_oracle(model):
     nrows, columns, entries = oracle_matrix(model)
     assert (mat.nrows, mat.ncols) == (nrows, len(columns))
     assert np.unique(mat.col).size == mat.ncols
-    assert {(r, c): v for r, c, v in mat.entries()} == entries
+    assert {(r, c): v for r, c, v in triples(mat)} == entries
 
 
 @pytest.mark.parametrize("name, j", [("A2", 5), ("A3", 5), ("D4", 5),
@@ -398,8 +399,8 @@ def test_modular_ranks_bounded_by_rational_rank_on_random_trees(model):
 @settings(max_examples=40, deadline=None)
 @given(_small_tree_models())
 def test_arrays_mod_matches_exact_values_on_random_trees(model):
-    """The reduction of an assembled matrix is value(i) mod p entry by
-    entry, in stored order with zero residues dropped."""
+    """The reduction of an assembled matrix is values[code[i]] mod p
+    entry by entry, in stored order with zero residues dropped."""
     mat = assemble_matrix(model)
     for p in (2, 3, 5, 7, 2_147_483_629):
         got = mat.arrays_mod(p)
@@ -486,7 +487,7 @@ def test_unshifted_points_have_small_entries():
             plain_rows.append((lo, lo + 2 * m.j * (m.j - 1)))
     assert plain_rows
     seen = set()
-    for r, c, v in mat.entries():
+    for r, c, v in triples(mat):
         if any(lo <= r < hi for lo, hi in plain_rows):
             seen.add(v)
     assert seen <= {1, -1, 2, -2}
@@ -494,7 +495,7 @@ def test_unshifted_points_have_small_entries():
 
 
 # ---------------------------------------------------------------------------
-# export / import
+# export
 
 
 def test_export_import_round_trip_preserves_rank(tmp_path):
@@ -503,10 +504,9 @@ def test_export_import_round_trip_preserves_rank(tmp_path):
     mat = assemble_matrix(m)
     path = tmp_path / "star.txt"
     write_matrix_text(mat, str(path))
-    with open(path) as f:
-        assert f.readline().strip() == "660 720 M"
-    back = read_matrix_text(str(path))
-    assert (back.nrows, back.ncols, back.nnz) == (660, 720, mat.nnz)
-    assert list(back.entries()) == list(mat.entries())
+    parsed = parse_matrix_text(path.read_text())
+    assert parsed == (660, 720, sorted(triples(mat)))
+    back = SparseIntMatrix.from_coo(*parsed)
+    assert back.nnz == mat.nnz
     assert rank_mod_p(back, 2) == 659
     assert rank_mod_p(back, 3) == 660

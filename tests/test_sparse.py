@@ -1,4 +1,5 @@
-"""The sparse integer matrix over a table of values, and its text format."""
+"""The sparse integer matrix over a table of values, and the text format
+it is written in."""
 
 import math
 import os
@@ -11,14 +12,14 @@ from hypothesis import strategies as st
 
 from tautcheck.linalg import rank_mod_p
 from tautcheck.sparse import (
+    _WRITE_SLICE,
     SparseIntMatrix,
     SparseMatrixError,
-    matrix_from_text,
-    read_matrix_text,
     write_matrix_text,
 )
 
-from rank_oracle import oracle_dense, oracle_rank_dense, oracle_residues
+from rank_oracle import (oracle_dense, oracle_rank_dense, oracle_residues,
+                         parse_matrix_text, triples)
 
 REDUCTION_PRIMES = (2, 3, 5, 7, 2_147_483_629)
 
@@ -40,7 +41,7 @@ def test_from_coo_and_dense_round_trip():
     m = SparseIntMatrix.from_coo(2, 3, [(0, 0, 5), (1, 2, -7), (0, 1, 1)])
     assert m.nnz == 3
     assert oracle_dense(m) == [[5, 1, 0], [0, 0, -7]]
-    assert list(m.entries()) == [(0, 0, 5), (0, 1, 1), (1, 2, -7)]
+    assert triples(m) == [(0, 0, 5), (1, 2, -7), (0, 1, 1)]
 
 
 def test_empty_matrix():
@@ -54,8 +55,7 @@ def test_factored_values_are_exact():
     """Entry i has the exact value values[code[i]]."""
     m = SparseIntMatrix(2, 2, [0, 1], [0, 1], [1, 0],
                         [-1, 3 * math.comb(10, 4)])
-    assert m.value(0) == 3 * math.comb(10, 4)
-    assert m.value(1) == -1
+    assert triples(m) == [(0, 0, 3 * math.comb(10, 4)), (1, 1, -1)]
     assert oracle_dense(m) == [[630, 0], [0, -1]]
 
 
@@ -63,24 +63,26 @@ def test_huge_literal_values_stay_exact():
     """Values at and beyond the int64 limits keep their exact value on
     every route; those beyond make `values` an object array."""
     for v in ((1 << 63) - 1, 1 << 63, -(1 << 63), -(1 << 63) - 1, 10**80):
-        triples = [(0, 1, v), (0, 0, 2), (1, 1, -3)]
-        m = SparseIntMatrix.from_coo(2, 2, triples)
+        coo = [(0, 1, v), (0, 0, 2), (1, 1, -3)]
+        m = SparseIntMatrix.from_coo(2, 2, coo)
         fits = -(1 << 63) <= v < 1 << 63
         assert m.values.dtype == (np.int64 if fits else object)
-        assert m.value(0) == v
+        assert triples(m)[0] == (0, 1, v)
         assert oracle_dense(m) == [[2, v], [0, -3]]
-        back = matrix_from_text(_to_text(m))
+        parsed = parse_matrix_text(_to_text(m))
+        assert parsed == (2, 2, sorted(coo))
+        back = SparseIntMatrix.from_coo(*parsed)
         assert back.values.dtype == m.values.dtype
         assert oracle_dense(back) == oracle_dense(m)
         assert _to_text(back) == _to_text(m)
         for p in (2, 3, 97, 2_147_483_629):
             assert _residues(m, p) == sorted((r, c, x % p)
-                                             for r, c, x in triples if x % p)
+                                             for r, c, x in coo if x % p)
             dense = np.array(oracle_dense(m), dtype=object) % p
             assert rank_mod_p(m, p) == oracle_rank_dense(dense, p)
     # the constructor keeps an exact int beyond int64 given in a list
     m = SparseIntMatrix(1, 1, [0], [0], [0], [1 << 63])
-    assert m.values.dtype == object and m.value(0) == 1 << 63
+    assert m.values.dtype == object and triples(m) == [(0, 0, 1 << 63)]
 
 
 def test_from_coo_accepts_an_empty_iterator():
@@ -92,7 +94,8 @@ def test_from_coo_accepts_an_empty_iterator():
 
 def test_canonical_order_is_row_major():
     m = SparseIntMatrix.from_coo(3, 3, [(2, 0, 1), (0, 2, 2), (0, 1, 3)])
-    assert [(r, c) for r, c, _ in m.entries()] == [(0, 1), (0, 2), (2, 0)]
+    _, _, written = parse_matrix_text(_to_text(m))
+    assert [(r, c) for r, c, _ in written] == [(0, 1), (0, 2), (2, 0)]
 
 
 @pytest.mark.parametrize("triples, err", [
@@ -189,9 +192,6 @@ def test_shape_of_2_31_rejected():
     # rows and columns are stored as int32
     with pytest.raises(SparseMatrixError,
                        match="shape 2147483648 does not fit int32"):
-        matrix_from_text("2147483648 1 M\n1 1 1\n0 0 0\n")
-    with pytest.raises(SparseMatrixError,
-                       match="shape 2147483648 does not fit int32"):
         SparseIntMatrix.from_coo(1, 1 << 31, ())
     top = (1 << 31) - 1
     assert SparseIntMatrix.from_coo(top, top, ()).nrows == top
@@ -202,7 +202,7 @@ def test_duplicates_found_at_large_coordinates():
     # m * n is about 2^62, far beyond int32
     m = n = (1 << 31) - 1
     a = SparseIntMatrix.from_coo(m, n, [(m - 1, n - 1, 2), (0, 0, 1)])
-    assert list(a.entries()) == [(0, 0, 1), (m - 1, n - 1, 2)]
+    assert triples(a) == [(m - 1, n - 1, 2), (0, 0, 1)]
     with pytest.raises(SparseMatrixError,
                        match=f"duplicate entry at row {m - 1}, col {n - 2}"):
         SparseIntMatrix.from_coo(m, n, [(m - 1, n - 2, 2), (0, 0, 1),
@@ -210,12 +210,12 @@ def test_duplicates_found_at_large_coordinates():
     # keys 2^32 apart are equal in int32, but distinct entries
     a = SparseIntMatrix.from_coo(1 << 17, 1 << 16,
                                  [(0, 5, 1), (1 << 16, 5, 2)])
-    assert list(a.entries()) == [(0, 5, 1), (1 << 16, 5, 2)]
+    assert triples(a) == [(0, 5, 1), (1 << 16, 5, 2)]
 
 
 @st.composite
 def _shuffled_triples(draw):
-    """(nrows, ncols, triples, a permutation of the triples); one value is
+    """(nrows, ncols, triples, a permutation of them); one value is
     at least 2^31 in magnitude, inside int64 or beyond it."""
     nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     cells = draw(st.lists(st.tuples(st.integers(0, nrows - 1),
@@ -227,8 +227,8 @@ def _shuffled_triples(draw):
                           st.integers(1 << 63, 1 << 80)))
     values[draw(st.integers(0, len(cells) - 1))] = draw(
         st.sampled_from([huge, -huge]))
-    triples = [(r, c, v) for (r, c), v in zip(cells, values)]
-    return nrows, ncols, triples, draw(st.permutations(triples))
+    coo = [(r, c, v) for (r, c), v in zip(cells, values)]
+    return nrows, ncols, coo, draw(st.permutations(coo))
 
 
 def _residues(matrix, p):
@@ -238,19 +238,19 @@ def _residues(matrix, p):
 @settings(max_examples=80, deadline=None)
 @given(_shuffled_triples())
 def test_entry_order_changes_no_result(case):
-    nrows, ncols, triples, shuffled = case
-    given_order = SparseIntMatrix.from_coo(nrows, ncols, triples)
+    nrows, ncols, coo, shuffled = case
+    given_order = SparseIntMatrix.from_coo(nrows, ncols, coo)
     m = SparseIntMatrix.from_coo(nrows, ncols, shuffled)
-    fits = all(-(1 << 63) <= v < 1 << 63 for _, _, v in triples)
+    fits = all(-(1 << 63) <= v < 1 << 63 for _, _, v in coo)
     assert m.values.dtype == given_order.values.dtype == \
         (np.int64 if fits else object)
     assert _to_text(m) == _to_text(given_order)
     dense = [[0] * ncols for _ in range(nrows)]
-    for r, c, v in triples:
+    for r, c, v in coo:
         dense[r][c] = v
     assert oracle_dense(m) == oracle_dense(given_order) == dense
     for p in (2, 3, 97):
-        expect = sorted((r, c, v % p) for r, c, v in triples if v % p)
+        expect = sorted((r, c, v % p) for r, c, v in coo if v % p)
         assert _residues(m, p) == _residues(given_order, p) == expect
         assert rank_mod_p(m, p) == rank_mod_p(given_order, p)
 
@@ -278,18 +278,18 @@ def _repeating_triples(draw):
 @settings(max_examples=80, deadline=None)
 @given(_repeating_triples())
 def test_arrays_mod_matches_exact_values(case):
-    """arrays_mod(p) is (row, col, value(i) mod p) entry by entry, in
-    stored order with zero residues dropped, as int32 arrays; the table
-    holds each distinct literal once."""
-    nrows, ncols, triples = case
-    m = SparseIntMatrix.from_coo(nrows, ncols, triples)
-    assert sorted(m.values.tolist()) == sorted({v for _, _, v in triples})
+    """arrays_mod(p) is (row, col, values[code[i]] mod p) entry by
+    entry, in stored order with zero residues dropped, as int32 arrays;
+    the table holds each distinct literal once."""
+    nrows, ncols, coo = case
+    m = SparseIntMatrix.from_coo(nrows, ncols, coo)
+    assert sorted(m.values.tolist()) == sorted({v for _, _, v in coo})
     for p in REDUCTION_PRIMES:
         got = m.arrays_mod(p)
         assert [a.dtype for a in got] == [np.int32] * 3
         assert list(zip(*(a.tolist() for a in got))) == \
             oracle_residues(m, p) == \
-            [(r, c, v % p) for r, c, v in triples if v % p]
+            [(r, c, v % p) for r, c, v in coo if v % p]
 
 
 @pytest.mark.parametrize("p", [1, 0, -3, 1 << 31])
@@ -313,9 +313,9 @@ def test_arrays_mod_matches_dense_reduction():
     for _ in range(25):
         nr, nc = rng.integers(1, 8, size=2)
         dense = rng.integers(-30, 31, size=(nr, nc))
-        triples = [(int(r), int(c), int(dense[r, c]))
+        coo = [(int(r), int(c), int(dense[r, c]))
                    for r in range(nr) for c in range(nc) if dense[r, c]]
-        m = SparseIntMatrix.from_coo(int(nr), int(nc), triples)
+        m = SparseIntMatrix.from_coo(int(nr), int(nc), coo)
         for p in (2, 3, 97):
             rows, cols, vals = m.arrays_mod(p)
             back = np.zeros((nr, nc), dtype=int)
@@ -342,10 +342,9 @@ def test_factored_mod_uses_binomials():
 def test_text_round_trip():
     m = SparseIntMatrix.from_coo(3, 4, [(0, 0, 12), (2, 3, -5), (1, 1, 10**40)])
     text = _to_text(m)
-    back = matrix_from_text(text)
-    assert back.nrows == 3 and back.ncols == 4
-    assert list(back.entries()) == list(m.entries())
-    assert _to_text(back) == text
+    parsed = parse_matrix_text(text)
+    assert parsed == (3, 4, sorted(triples(m)))
+    assert _to_text(SparseIntMatrix.from_coo(*parsed)) == text
 
 
 def test_text_format_shape():
@@ -359,33 +358,23 @@ def test_text_format_shape():
 def test_text_empty_matrix():
     m = SparseIntMatrix.from_coo(0, 0, ())
     assert _to_text(m) == "0 0 M\n0 0 0\n"
-    back = matrix_from_text("0 0 M\n0 0 0\n")
-    assert back.nrows == back.ncols == back.nnz == 0
+    assert _to_text(SparseIntMatrix.from_coo(4, 5, ())) == "4 5 M\n0 0 0\n"
 
 
-def test_text_accepts_any_entry_order():
-    text = "2 2 M\n2 2 4\n1 1 3\n0 0 0\n"
-    m = matrix_from_text(text)
-    assert oracle_dense(m) == [[3, 0], [0, 4]]
-
-
-@pytest.mark.parametrize("text, err", [
-    ("", "empty"),
-    ("2 2\n0 0 0\n", "header"),
-    ("2 2 X\n0 0 0\n", "header"),
-    ("2 2 M\n1 1 1\n", "terminator"),
-    ("2 2 M\n1 1 0\n0 0 0\n", "zero"),
-    ("2 2 M\n3 1 1\n0 0 0\n", "out of range"),
-    ("2 2 M\n1 1 1\n0 0 0\n1 2 1\n", "after terminator"),
-    ("2 2 M\n1 1\n0 0 0\n", "3 fields"),
-    ("2 2 M\n1 1 x\n0 0 0\n", "non-integer"),
-    ("-1 2 M\n0 0 0\n", "negative shape -1 x 2"),
-    ("2 -3 M\n0 0 0\n", "negative shape 2 x -3"),
-])
-def test_text_errors(text, err):
-    with pytest.raises(SparseMatrixError) as e:
-        matrix_from_text(text)
-    assert err in str(e.value)
+def test_text_spans_write_slices_in_row_major_order():
+    """More entries than one write slice, stored in shuffled order, some
+    beyond int64: the text lists each entry once, row-major, across the
+    slice borders."""
+    n = _WRITE_SLICE + 1000
+    rng = np.random.default_rng(3)
+    cells = rng.permutation(300 * 300)[:n].tolist()
+    values = (rng.integers(1, 40, size=n) *
+              rng.choice([-1, 1], size=n)).tolist()
+    given_order = [(k // 300, k % 300, v) for k, v in zip(cells, values)]
+    given_order[::7] = [(r, c, v << 70) for r, c, v in given_order[::7]]
+    m = SparseIntMatrix.from_coo(300, 300, given_order)
+    assert triples(m) == given_order
+    assert parse_matrix_text(_to_text(m)) == (300, 300, sorted(given_order))
 
 
 def test_file_round_trip(tmp_path):
@@ -393,5 +382,4 @@ def test_file_round_trip(tmp_path):
                                         for i in range(5)])
     path = tmp_path / "m.txt"
     write_matrix_text(m, str(path))
-    back = read_matrix_text(str(path))
-    assert list(back.entries()) == list(m.entries())
+    assert parse_matrix_text(path.read_text()) == (5, 5, sorted(triples(m)))
