@@ -42,6 +42,11 @@ def _check(ok: bool, what: str) -> None:
         raise LinalgError(f"internal check failed: {what}")
 
 
+def _is_int(x) -> bool:
+    """An integer, but not a bool: True as a prime, j or cap is a slip."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _physical_memory() -> int | None:
     """Bytes of physical memory, or None where sysconf cannot tell."""
     try:
@@ -93,13 +98,12 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         g = graph
     primes = list(primes)
     for p in primes:                 # refused, not truncated by int()
-        if not isinstance(p, numbers.Integral):
+        if not _is_int(p):
             raise ValueError(f"candidate characteristic {p!r} is not an "
                              f"integer")
-    if j is not None and not isinstance(j, numbers.Integral):
+    if j is not None and not _is_int(j):
         raise ValueError(f"multiplicity j = {j!r} is not an integer")
-    if mem_cap is not None and not (isinstance(mem_cap, numbers.Integral)
-                                    and mem_cap >= 0):
+    if mem_cap is not None and not (_is_int(mem_cap) and mem_cap >= 0):
         raise ValueError(f"memory cap {mem_cap!r} is not a non-negative "
                          f"integer")
     primes = sorted({int(p) for p in primes})

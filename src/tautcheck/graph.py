@@ -17,6 +17,7 @@ Repeating an ``edge`` line adds a parallel edge.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -60,6 +61,10 @@ class DualGraph:
                    mult: int | None = None) -> None:
         if vid in self.data:
             raise GraphError(f"duplicate vertex id {vid!r}")
+        for key, x in (("genus", genus), ("selfint", selfint),
+                       ("mult", 1 if mult is None else mult)):
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise GraphError(f"vertex {vid!r}: {key} must be an integer")
         if genus < 0:
             raise GraphError(f"vertex {vid!r}: genus must be >= 0")
         if selfint >= 0:

@@ -4,8 +4,8 @@ Strategy: reduce mod p, then
 
 1. *peel* rows/columns with a single nonzero entry (each is a pivot and
    contributes exactly 1 to the rank — exact over a field);
-2. rank the remaining core by deterministic sparse Markowitz
-   elimination (Dumas & Villard, CASC 2002), run to the end.
+2. rank the remaining core by sparse elimination in one column order,
+   sparsest first, fixed up front (Dumas & Villard, CASC 2002).
 
 The rational rank is bounded by modular ranks: the rank mod any prime
 never exceeds the rank over the rationals, which never exceeds
@@ -18,7 +18,6 @@ reported as a lower bound.
 from __future__ import annotations
 
 import functools
-import heapq
 import numbers
 import random
 from typing import NamedTuple
@@ -132,74 +131,48 @@ def _peel_mod_p(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
 
 def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
                             vals: np.ndarray, p: int) -> int:
-    """Deterministic column-driven Markowitz elimination over GF(p), run
-    until no entry is left.
-
-    Pivot choice: the column with fewest entries (lowest id on ties), in
-    it the row with fewest entries (lowest id on ties).  Rows and
-    columns are keyed by their ids, so the core needs no renumbering.
-    """
+    """Elimination over GF(p) that visits each column once, sorted by
+    (entry count in the core, id), and pivots on its row with fewest
+    entries (lowest id on ties); a column emptied by cancellation is
+    skipped.  A pivot row holds no entry in a column already visited, so
+    fill-in only reaches columns still to come.  Rows and columns are
+    keyed by their ids, so the core needs no renumbering."""
     rowd: dict[int, dict[int, int]] = {}
     colr: dict[int, set[int]] = {}
     for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
         rowd.setdefault(r, {})[c] = v
         colr.setdefault(c, set()).add(r)
-    col_heap = [(len(rs), c) for c, rs in colr.items()]
-    heapq.heapify(col_heap)
     rank = 0
-    while colr:
-        # pop a valid (count, col) pair
-        while True:
-            cnt, c0 = heapq.heappop(col_heap)
-            cur = colr.get(c0)
-            if cur is None:
-                continue
-            if len(cur) != cnt:
-                heapq.heappush(col_heap, (len(cur), c0))
-                continue
-            break
-        r0 = min(colr[c0], key=lambda r: (len(rowd[r]), r))
+    for c0 in sorted(colr, key=lambda c: (len(colr[c]), c)):
+        rs = colr.pop(c0)
+        if not rs:
+            continue
+        r0 = min(rs, key=lambda r: (len(rowd[r]), r))
+        rs.remove(r0)
         prow = rowd.pop(r0)
-        inv = pow(prow[c0], -1, p)
+        inv = pow(prow.pop(c0), -1, p)
         for c2 in prow:
-            s = colr[c2]
-            s.discard(r0)
-            if s:
-                if c2 != c0:
-                    heapq.heappush(col_heap, (len(s), c2))
-            else:
-                del colr[c2]
+            colr[c2].discard(r0)
         rank += 1
-        for r in colr.pop(c0, ()):
+        for r in rs:
             rd = rowd[r]
             f = rd.pop(c0) * inv % p
             for c2, v2 in prow.items():
-                if c2 == c0:
-                    continue
                 nv = (rd.get(c2, 0) - f * v2) % p
                 if nv:
                     if c2 not in rd:
-                        s = colr.setdefault(c2, set())
-                        s.add(r)
-                        heapq.heappush(col_heap, (len(s), c2))
+                        colr[c2].add(r)
                     rd[c2] = nv
                 elif c2 in rd:
                     del rd[c2]
-                    s = colr[c2]
-                    s.discard(r)
-                    if s:
-                        heapq.heappush(col_heap, (len(s), c2))
-                    else:
-                        del colr[c2]
-            if not rd:
-                del rowd[r]
+                    colr[c2].discard(r)
     return rank
 
 
 def rank_mod_p(matrix, p: int) -> int:
     """Exact rank of an integer matrix over GF(p): reduce mod p, peel the
-    singleton rows and columns, then rank the core by Markowitz
-    elimination.
+    singleton rows and columns, then rank the core by elimination in one
+    fixed column order, sparsest columns first.
 
     Parameters
     ----------

@@ -147,8 +147,9 @@ def test_analyze_j_override_equal_to_auto_is_silent():
 
 
 def test_analyze_non_integral_j_rejected():
-    """A j that is not an integer is refused, not truncated to 11."""
-    for bad in (11.7, 11.0, "11"):
+    """A j that is not an integer is refused, not truncated to 11; a
+    bool is refused too, where True once read as j = 1."""
+    for bad in (11.7, 11.0, "11", True):
         with pytest.raises(ValueError, match=re.escape(
                 f"multiplicity j = {bad!r} is not an integer")):
             analyze(preset="D4", j=bad)
@@ -167,8 +168,9 @@ def test_analyze_empty_primes_rejected():
 
 
 def test_analyze_non_integral_primes_rejected():
-    """A candidate that is not an integer is refused, not truncated."""
-    for bad in (2.5, 3.0, "3"):
+    """A candidate that is not an integer is refused, not truncated; a
+    bool is refused by name, where True once read as the prime 1."""
+    for bad in (2.5, 3.0, "3", True, False):
         with pytest.raises(ValueError, match=re.escape(
                 f"candidate characteristic {bad!r} is not an integer")):
             analyze(preset="D4", primes=[bad, 3])
@@ -234,9 +236,11 @@ def test_analyze_mem_cap_refusal():
 
 def test_analyze_bad_mem_cap_rejected():
     """A negative or non-integer cap is a usage error, not a refusal at
-    assembly: a cap of -5 used to refuse even A1's 0-byte model, and 2.5
-    ran the float compare."""
-    for preset, bad in (("A1", -5), ("D4", -1), ("D4", 2.5), ("D4", "9")):
+    assembly: a cap of -5 used to refuse even A1's 0-byte model, 2.5
+    ran the float compare, and True or False refused D4 at assembly as
+    a cap of 1 or 0 bytes."""
+    for preset, bad in (("A1", -5), ("D4", -1), ("D4", 2.5), ("D4", "9"),
+                        ("D4", True), ("D4", False)):
         with pytest.raises(ValueError, match=re.escape(
                 f"memory cap {bad!r} is not a non-negative integer")):
             analyze(preset=preset, mem_cap=bad)

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +77,28 @@ def test_parse_errors_carry_reason(bad, fragment):
     with pytest.raises(GraphError) as err:
         parse_graph(bad)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("decorations, key", [
+    ((0, -2.5), "selfint"),
+    ((0.0, -2), "genus"),
+    ((True, -2), "genus"),
+    ((0, "-2"), "selfint"),
+    ((0, -2, 1.5), "mult"),
+    ((0, -2, True), "mult"),
+])
+def test_add_vertex_refuses_non_integer_decorations(decorations, key):
+    """A float, string or bool decoration is refused; a selfint of -2.5
+    once reached numpy in `analyze` as a TypeError, and True was stored
+    as a genus."""
+    g = DualGraph()
+    with pytest.raises(GraphError,
+                       match=f"^vertex 'a': {key} must be an integer$"):
+        g.add_vertex("a", *decorations)
+    assert g.ids == [] and g.data == {}
+    g.add_vertex("a", 0, -2, np.int64(3))
+    g.add_vertex("b", np.int64(0), np.int64(-2))
+    assert g.ids == ["a", "b"]
 
 
 def test_parse_error_reports_line_number():

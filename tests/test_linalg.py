@@ -188,18 +188,40 @@ def test_rank_random_agreement_with_oracle():
     dense = [[rng.randint(1, 100) for _ in range(30)] for _ in range(30)]
     assert rank_mod_p(from_dense(dense), 101) == \
         oracle_rank_mod_p(dense, 101) == 30
+    # the core elimination alone, with no peel first: dense inputs, and
+    # sparse ones whose elimination fills in, up to a 31-bit prime
+    rng = random.Random(19)
+    for p in (2, 3, 101, 2**31 - 1):
+        for density in (0.05, 0.1, 0.5, 1.0):
+            for _ in range(3):
+                dense = random_dense(rng, max_dim=40, lo=-p, hi=p,
+                                     density=density)
+                rows, cols, vals = from_dense(dense).arrays_mod(p)
+                assert linalg._sparse_core_rank_mod_p(rows, cols, vals, p) \
+                    == oracle_rank_mod_p(dense, p)
 
 
 def test_sparse_core_is_ranked_without_dense_elimination():
-    """A 200 x 200 circulant with 3 entries per row and column survives
-    the peel whole at 1.5% density: only the Markowitz phase ranks it."""
+    """Cores that survive the peel whole are ranked by the core
+    elimination alone, in its fixed column order.  A 200 x 200 circulant
+    with 3 entries per row and column, at 1.5% density; and a 5 x 6
+    matrix whose first pivot (column 1) cancels every entry of column 5,
+    which is skipped at its turn, and whose third pivot (second at p = 2)
+    cancels every entry of column 3 and fills it in again."""
     n = 200
-    dense = [[0] * n for _ in range(n)]
+    circulant = [[0] * n for _ in range(n)]
     for i in range(n):
         for k, v in ((0, 1), (1, 3), (7, 2)):
-            dense[i][(i + k) % n] = v
-    for p in (2, 3, 101):
-        assert rank_mod_p(from_dense(dense), p) == oracle_rank_mod_p(dense, p)
+            circulant[i][(i + k) % n] = v
+    cancelling = [[0, 0, -1, 1, 0, 0],
+                  [1, 1, 0, -1, 1, 1],
+                  [1, 0, 1, -1, 0, 0],
+                  [-1, -1, 0, -1, 1, -1],
+                  [1, 0, -1, 0, 0, 0]]
+    for dense in (circulant, cancelling):
+        for p in (2, 3, 101):
+            assert rank_mod_p(from_dense(dense), p) == \
+                oracle_rank_mod_p(dense, p)
 
 
 def test_rank_invariant_under_permutation_and_unit_scaling():
