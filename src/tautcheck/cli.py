@@ -1,8 +1,8 @@
 """End-to-end analysis pipeline and the command line interface.
 
-The pipeline: combinatorial checks, cycle computation (a preset's known
-cycle is honored untouched; computed cycles are coprimality-adjusted
-against the candidate primes), twist plan, plumbing model, matrix
+The pipeline: combinatorial checks, cycle computation (a preset's cycle
+is used untouched; other cycles are coprimality-adjusted against the
+candidate primes), twist plan, plumbing model, matrix
 assembly, exact ranks per characteristic with the rational rank proved
 from them where possible, verdicts.
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import os
 import sys
 
@@ -24,7 +23,7 @@ from .cycles import (anti_ample_cycle, choose_j, fundamental_cycle,
                      significant_multiplicity_to_all)
 from .graph import (DualGraph, admissibility_violations, parse_graph,
                     preset_graph)
-from .linalg import LinalgError, prove_rank_over_Q
+from .linalg import LinalgError, is_int, prove_rank_over_Q
 from .plumbing import (PlumbingError, assemble_matrix, build_model,
                        estimate_assembly)
 from .sparse import write_matrix_text
@@ -40,11 +39,6 @@ def _check(ok: bool, what: str) -> None:
     holds under `python -O`."""
     if not ok:
         raise LinalgError(f"internal check failed: {what}")
-
-
-def _is_int(x) -> bool:
-    """An integer, but not a bool: True as a prime, j or cap is a slip."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _physical_memory() -> int | None:
@@ -98,12 +92,12 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         g = graph
     primes = list(primes)
     for p in primes:                 # refused, not truncated by int()
-        if not _is_int(p):
+        if not is_int(p):
             raise ValueError(f"candidate characteristic {p!r} is not an "
                              f"integer")
-    if j is not None and not _is_int(j):
+    if j is not None and not is_int(j):
         raise ValueError(f"multiplicity j = {j!r} is not an integer")
-    if mem_cap is not None and not (_is_int(mem_cap) and mem_cap >= 0):
+    if mem_cap is not None and not (is_int(mem_cap) and mem_cap >= 0):
         raise ValueError(f"memory cap {mem_cap!r} is not a non-negative "
                          f"integer")
     primes = sorted({int(p) for p in primes})

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .graph import (DualGraph, VertexData, intersection_matrix,
                     is_connected, is_negative_definite)
-from .linalg import is_valid_modulus, next_prime
+from .linalg import is_int, is_valid_modulus, next_prime
 
 # safety bound on the Laufer iterations; they terminate on negative-definite
 # graphs long before it
@@ -38,7 +38,7 @@ def is_anti_ample(g: DualGraph, z: tuple[int, ...]) -> bool:
 def _check_cycle_arg(g: DualGraph, z: tuple[int, ...]):
     if len(z) != g.n:
         raise CyclesError(f"cycle has length {len(z)}, graph has {g.n} vertices")
-    if any(not isinstance(c, int) for c in z):
+    if not all(map(is_int, z)):
         raise CyclesError("cycle must have integer coefficients")
 
 
@@ -46,10 +46,19 @@ def _check_cycle_arg(g: DualGraph, z: tuple[int, ...]):
 # fundamental / anti-ample cycles
 
 
-def _laufer(m: list[list[int]], z: list[int], limit: int,
-            what: str) -> tuple[int, ...]:
-    """Laufer's iteration from `z`: while some vertex pairs with the
-    cycle above `limit`, bump the lowest-index such vertex."""
+def _least_cycle(g: DualGraph, limit: int, what: str) -> tuple[int, ...]:
+    """The least cycle >= 1 pairing <= `limit` with every vertex, by
+    Laufer's iteration: start from all-ones; while some vertex pairs with
+    the cycle above `limit`, bump the lowest-index such vertex.  The
+    cycles with these bounds are closed under coefficientwise minimum,
+    and no bump passes their minimum, so the iteration ends on it;
+    negative definiteness makes the set non-empty."""
+    if not is_connected(g):
+        raise CyclesError(f"{what} needs a connected graph")
+    if not is_negative_definite(g):
+        raise CyclesError(f"{what} needs a negative-definite graph")
+    m = intersection_matrix(g)
+    z = [1] * g.n
     for _ in range(_MAX_STEPS):
         for i, v in enumerate(_pairing(m, z)):
             if v > limit:
@@ -62,24 +71,18 @@ def _laufer(m: list[list[int]], z: list[int], limit: int,
 
 
 def fundamental_cycle(g: DualGraph) -> tuple[int, ...]:
-    """Smallest positive cycle with all intersection numbers <= 0.
-
-    Computed by the standard Laufer iteration: start from all-ones; while
-    some vertex pairs positively with the cycle, bump the lowest-index such
-    vertex.  Terminates for negative-definite graphs.
-    """
-    if not is_connected(g):
-        raise CyclesError("fundamental cycle needs a connected graph")
-    if not is_negative_definite(g):
-        raise CyclesError("fundamental cycle needs a negative-definite graph")
-    return _laufer(intersection_matrix(g), [1] * g.n, 0, "fundamental cycle")
+    """Smallest positive cycle with all intersection numbers <= 0
+    (Laufer's iteration with limit 0).  The graph must be connected and
+    negative definite."""
+    return _least_cycle(g, 0, "fundamental cycle")
 
 
 def anti_ample_cycle(g: DualGraph) -> tuple[int, ...]:
-    """Smallest cycle above the fundamental cycle pairing strictly
-    negatively with every vertex.  Same iteration with a strict target."""
-    return _laufer(intersection_matrix(g), list(fundamental_cycle(g)), -1,
-                   "anti-ample")
+    """Smallest positive cycle pairing strictly negatively with every
+    vertex (Laufer's iteration with limit -1).  It lies above the
+    fundamental cycle.  The graph must be connected and negative
+    definite."""
+    return _least_cycle(g, -1, "anti-ample cycle")
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ Repeating an ``edge`` line adds a parallel edge.
 
 from __future__ import annotations
 
-import numbers
 import re
 from dataclasses import dataclass, field
+
+from .linalg import is_int
 
 
 class GraphError(ValueError):
@@ -63,7 +64,7 @@ class DualGraph:
             raise GraphError(f"duplicate vertex id {vid!r}")
         for key, x in (("genus", genus), ("selfint", selfint),
                        ("mult", 1 if mult is None else mult)):
-            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            if not is_int(x):
                 raise GraphError(f"vertex {vid!r}: {key} must be an integer")
         if genus < 0:
             raise GraphError(f"vertex {vid!r}: genus must be >= 0")
@@ -191,43 +192,24 @@ def is_connected(g: DualGraph) -> bool:
     return len(seen) == g.n
 
 
-def leading_principal_minors(m: list[list[int]]) -> list[int]:
-    """Exact leading principal minors det(M_k), k = 1..n, via fraction-free
-    elimination.  Stops early (returning the prefix computed so far, ending
-    in 0) when a zero minor is hit."""
-    a = [row[:] for row in m]
-    n = len(a)
-    minors: list[int] = []
+def is_negative_definite(g: DualGraph) -> bool:
+    """Exact negative-definiteness test on the intersection matrix: the
+    k-th leading principal minor must have sign (-1)^k for every k.  One
+    fraction-free (Bareiss) elimination yields the minors as its pivots;
+    it stops at the first that is zero or has the wrong sign.  A graph
+    with no vertices is not negative definite."""
+    a = intersection_matrix(g)
     prev = 1
-    for k in range(n):
+    for k in range(g.n):
         piv = a[k][k]
-        minors.append(piv)
-        if piv == 0:
-            break
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * piv - aik * row_k[j]) // prev
-            row_i[k] = 0
+        if piv == 0 or (piv > 0) != (k % 2 == 1):
+            return False
+        for i in range(k + 1, g.n):
+            row_i, aik = a[i], a[i][k]
+            for j in range(k + 1, g.n):
+                row_i[j] = (row_i[j] * piv - aik * a[k][j]) // prev
         prev = piv
-    return minors
-
-
-def is_negative_definite(g: DualGraph | list[list[int]]) -> bool:
-    """Exact negative-definiteness test: the k-th leading principal minor
-    must have sign (-1)^k for every k.  Accepts a graph (tested on its
-    intersection matrix) or a square integer matrix given as rows."""
-    m = intersection_matrix(g) if isinstance(g, DualGraph) else g
-    n = len(m)
-    if n == 0:
-        return False
-    minors = leading_principal_minors(m)
-    if len(minors) < n:
-        return False
-    return all(det != 0 and (det > 0) == (k % 2 == 0)
-               for k, det in enumerate(minors, start=1))
+    return g.n > 0
 
 
 def admissibility_violations(g: DualGraph) -> list[str]:
@@ -260,23 +242,13 @@ def potential_tautness_violations(g: DualGraph) -> list[str]:
 # presets
 
 
-_PRESET_CYCLES = {
-    "D4": (3, 3, 5, 3),
-    "D5": (5, 5, 9, 7, 4),
-    "D6": (8, 8, 15, 13, 10, 6),
-    "D7": (11, 11, 21, 19, 16, 12, 7),
-    "E6": (8, 15, 21, 11, 15, 8),
-    "E7": (18, 35, 51, 26, 40, 28, 15),
-    "E8": (46, 91, 135, 68, 110, 84, 57, 29),
-}
-
-
-# per family: the fixed edges, then the first vertex of the chain
-# first, first + 1, ..., n (vertices numbered from 1)
+# per family: the sizes on offer (None: any), the fixed edges, then the
+# first vertex of the chain first, first + 1, ..., n (vertices numbered
+# from 1)
 _PRESET_TREES = {
-    "A": ((), 1),
-    "D": (((1, 3), (2, 3)), 3),
-    "E": (((1, 2), (2, 3), (3, 4), (3, 5)), 5),
+    "A": (None, (), 1),
+    "D": (range(4, 8), ((1, 3), (2, 3)), 3),
+    "E": (range(6, 9), ((1, 2), (2, 3), (3, 4), (3, 5)), 5),
 }
 
 
@@ -284,9 +256,9 @@ def preset_graph(name: str) -> tuple[DualGraph, tuple[int, ...] | None]:
     """Built-in graphs: chains A<n> and the branched trees D4..D7, E6..E8.
 
     All preset vertices have genus 0 and self-intersection -2.  The D/E
-    presets come with a known anti-ample cycle (returned as the second
-    element), as does A1 (where ``(1)`` is the only sensible choice);
-    longer chains return ``None`` and the pipeline computes one.
+    presets and A1 come with their least anti-ample cycle, computed by
+    `cycles.anti_ample_cycle` (returned as the second element); longer
+    chains return ``None`` and the pipeline computes one itself.
 
     Parameters
     ----------
@@ -297,19 +269,21 @@ def preset_graph(name: str) -> tuple[DualGraph, tuple[int, ...] | None]:
     -------
     (DualGraph, tuple or None)
     """
+    from .cycles import anti_ample_cycle      # cycles imports this module
+
     key = name.strip().upper().replace("_", "")
     m = re.fullmatch(r"([ADE])(\d+)", key)
-    if m is None or (m[1] != "A" and key not in _PRESET_CYCLES):
+    sizes, fixed, first = _PRESET_TREES[m[1]] if m else ((), (), 1)
+    if m is None or (sizes is not None and m[2] not in map(str, sizes)):
         raise GraphError(f"unknown preset {name!r} "
                          f"(available: A<n>, D4, D5, D6, D7, E6, E7, E8)")
     n = int(m[2])
     if n < 1:
         raise GraphError(f"preset {name!r}: chain length must be >= 1")
-    fixed, first = _PRESET_TREES[m[1]]
     v = m[1].lower()
     g = DualGraph()
     for i in range(1, n + 1):
         g.add_vertex(f"{v}{i}", 0, -2)
     for a, b in fixed + tuple((i, i + 1) for i in range(first, n)):
         g.add_edge(f"{v}{a}", f"{v}{b}")
-    return g, _PRESET_CYCLES.get(key, (1,) if n == 1 else None)
+    return g, anti_ample_cycle(g) if sizes is not None or n == 1 else None

@@ -32,6 +32,15 @@ class LinalgError(ValueError):
     """Raised for invalid matrix arguments or exceeded size caps."""
 
 
+def is_int(x) -> bool:
+    """The package's one integer rule: any `numbers.Integral` (numpy
+    integers included) except bool, since True as a prime, cap, index or
+    coefficient is a slip."""
+    # `int` is tested first; the numbers.Integral test is slow
+    return type(x) is int or (isinstance(x, numbers.Integral)
+                              and not isinstance(x, bool))
+
+
 # ---------------------------------------------------------------------------
 # primes
 
@@ -41,7 +50,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with fixed bases; deterministic below 3.3e24.  An
     argument that is not an integer is refused with LinalgError."""
-    if not isinstance(n, numbers.Integral):
+    if not is_int(n):
         raise LinalgError(f"{n!r} is not an integer")
     if n < 2:
         return False
@@ -73,7 +82,7 @@ def is_valid_modulus(p: int) -> bool:
 
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than the integer n."""
-    if not isinstance(n, numbers.Integral):
+    if not is_int(n):
         raise LinalgError(f"{n!r} is not an integer")
     m = n + 1
     while not is_probable_prime(m):

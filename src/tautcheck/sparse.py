@@ -24,9 +24,9 @@ Text format, written for other tools to read::
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
+
+from .linalg import is_int
 
 
 class SparseMatrixError(ValueError):
@@ -40,9 +40,8 @@ def _exact_ints(what: str, a, dtype, wide: bool = False) -> np.ndarray:
     a = np.asarray(a)
     if a.dtype == dtype:
         return a
-    # `int` is tested first; the numbers.Integral test is slow
     for v in ([] if a.dtype.kind in "iu" else a.flat):
-        if type(v) is not int and not isinstance(v, numbers.Integral):
+        if not is_int(v):
             raise SparseMatrixError(f"{what} {v!r} is not an integer")
     lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
     info = np.iinfo(dtype)

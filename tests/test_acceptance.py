@@ -209,12 +209,15 @@ def test_criterion_07_fundamental_cycle_brute_force():
     """Exhaustive check on every connected negative-definite graph with
     up to 4 vertices, self-intersections in [-4,-1] and up to double
     edges: the computed fundamental cycle is the coefficientwise minimum
-    of all full-support cycles with no positive intersection, searched
-    over the box [1,6]^n.  Anti-ample and coprimality postconditions are
-    asserted on every graph."""
+    of all full-support cycles with no positive intersection, and the
+    computed anti-ample cycle the minimum of those pairing <= -1 with
+    every vertex, each searched over the box [1,6]^n.  Coprimality
+    postconditions are asserted on every graph."""
     box = {n: np.array(list(product(range(1, 7), repeat=n)), dtype=np.int64)
            for n in (1, 2, 3, 4)}
-    total = verified = outside_box = 0
+    total = 0
+    # per cycle and limit: graphs verified in the box, graphs outside it
+    counts = {0: [0, 0], -1: [0, 0]}
     for n in (1, 2, 3, 4):
         pairs = list(combinations(range(n), 2))
         for mults in product((0, 1, 2), repeat=len(pairs)):
@@ -229,39 +232,40 @@ def test_criterion_07_fundamental_cycle_brute_force():
             if len(seen) != n:
                 continue
             for selfs in product((-1, -2, -3, -4), repeat=n):
-                m = [[0] * n for _ in range(n)]
-                for i in range(n):
-                    m[i][i] = selfs[i]
-                for (a, b), mm in zip(pairs, mults):
-                    m[a][b] = m[b][a] = mm
-                if not is_negative_definite(m):
-                    continue
-                total += 1
                 g = DualGraph()
                 for i in range(n):
                     g.add_vertex(f"v{i}", 0, selfs[i])
                 for (a, b), mm in zip(pairs, mults):
                     for _ in range(mm):
                         g.add_edge(f"v{a}", f"v{b}")
-                z = fundamental_cycle(g)
+                if not is_negative_definite(g):
+                    continue
+                total += 1
+                m = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    m[i][i] = selfs[i]
+                for (a, b), mm in zip(pairs, mults):
+                    m[a][b] = m[b][a] = mm
                 mm_np = np.array(m, dtype=np.int64)
                 scores = box[n] @ mm_np.T
-                valid = box[n][(scores <= 0).all(axis=1)]
-                if valid.size == 0:
-                    assert max(z) > 6, (m, z)
-                    outside_box += 1
-                else:
-                    zmin = valid.min(axis=0)
-                    assert (mm_np @ zmin <= 0).all(), (m, tuple(zmin))
-                    assert tuple(int(v) for v in zmin) == z, (m, z)
-                    verified += 1
                 aa = anti_ample_cycle(g)
+                for limit, z in ((0, fundamental_cycle(g)), (-1, aa)):
+                    valid = box[n][(scores <= limit).all(axis=1)]
+                    if valid.size == 0:
+                        assert max(z) > 6, (m, limit, z)
+                        counts[limit][1] += 1
+                    else:
+                        zmin = valid.min(axis=0)
+                        assert (mm_np @ zmin <= limit).all(), (m, limit, zmin)
+                        assert tuple(int(v) for v in zmin) == z, (m, limit, z)
+                        counts[limit][0] += 1
                 assert all(int(v) < 0 for v in mm_np @ np.array(aa)), (m, aa)
                 cz = make_coprime_to_all(g, aa, [2, 3, 5, 7])
                 assert all(int(v) < 0 for v in mm_np @ np.array(cz)), (m, cz)
                 assert all(gcd(c, 2 * 3 * 5 * 7) == 1 for c in cz), (m, cz)
     # catalog size is deterministic; pin it so silent shrinkage is caught
-    assert (total, verified, outside_box) == (18603, 18315, 288)
+    assert (total, *counts[0]) == (18603, 18315, 288)
+    assert (total, *counts[-1]) == (18603, 11399, 7204)
 
 
 def test_criterion_08_truncation_soundness():

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tautcheck
 import tautcheck.cli as cli
@@ -23,7 +25,7 @@ import tautcheck.linalg as linalg
 from tautcheck import __version__
 from tautcheck.cli import analyze, main, render_text
 from tautcheck.cycles import CyclesError
-from tautcheck.graph import parse_graph, preset_graph
+from tautcheck.graph import DualGraph, parse_graph, preset_graph
 from tautcheck.linalg import LinalgError, rank_mod_p, sample_rank_primes
 from tautcheck.plumbing import PlumbingError, assemble_matrix, build_model
 from tautcheck.sparse import SparseIntMatrix
@@ -116,6 +118,31 @@ def test_analyze_computed_cycle_postconditions():
         assert sum(m[i][k] * used[k] for k in range(3)) < 0
     for coeff in used:
         assert math.gcd(coeff, 2 * 3 * 5 * 7) == 1
+
+
+@st.composite
+def _chains(draw):
+    """A chain of 1-6 vertices with self-intersections -2..-6."""
+    g = DualGraph()
+    for i, w in enumerate(draw(st.lists(st.integers(-6, -2), min_size=1,
+                                        max_size=6))):
+        g.add_vertex(f"v{i}", 0, w)
+        if i:
+            g.add_edge(f"v{i - 1}", f"v{i}")
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chains())
+def test_chains_are_taut_over_Q(g):
+    """Chains are cyclic quotient singularities, which are taut over C
+    (Laufer, Math. Ann. 205, 1973), so h1 over Q is 0, and proved.
+    Nothing is asserted in characteristic p.  The cap keeps the models
+    to ~300k entries; a chain refused by it is skipped."""
+    r = analyze(graph=g, mem_cap=300_000 * 96)
+    assume(r["status"] != "refused" or r["stage"] != "assembly")
+    assert r["status"] == "ok", r
+    assert r["results"]["q"]["h1"] == 0 and r["certified"]
 
 
 def test_analyze_strict_mode_plan():

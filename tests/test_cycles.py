@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from tautcheck.cycles import (
@@ -65,15 +66,21 @@ def test_fundamental_matches_box_brute_force():
 
 
 def test_fundamental_rejects_bad_graphs():
+    """Both least cycles refuse a disconnected and a degenerate graph,
+    each naming itself."""
     disconnected = parse_graph("vertex a genus=0 selfint=-2\n"
                                "vertex b genus=0 selfint=-2\n")
-    with pytest.raises(CyclesError):
-        fundamental_cycle(disconnected)
     degenerate = parse_graph("vertex a genus=0 selfint=-2\n"
                              "vertex b genus=0 selfint=-2\n"
                              "edge a b\nedge a b\n")
-    with pytest.raises(CyclesError):
-        fundamental_cycle(degenerate)
+    for least, what in ((fundamental_cycle, "fundamental cycle"),
+                        (anti_ample_cycle, "anti-ample cycle")):
+        with pytest.raises(CyclesError,
+                           match=f"^{what} needs a connected graph$"):
+            least(disconnected)
+        with pytest.raises(CyclesError,
+                           match=f"^{what} needs a negative-definite graph$"):
+            least(degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +269,26 @@ def test_greedy_tau_needs_full_support():
     g, _ = preset_graph("A3")
     with pytest.raises(CyclesError):
         greedy_tau(g, (1, 0, 1))
+
+
+def test_cycle_arguments_follow_the_integer_rule():
+    """numpy integers are integers and a bool is not, as everywhere else
+    in the package; D4's cycle as np.int64s was once refused, and
+    (True, True) once planned like (1, 1)."""
+    g, _ = preset_graph("D4")
+    z = tuple(np.int64(c) for c in (3, 3, 5, 3))
+    assert greedy_tau(g, z) == greedy_tau(g, (3, 3, 5, 3))
+    assert make_coprime_to_all(g, z, [3]) == \
+        make_coprime_to_all(g, (3, 3, 5, 3), [3]) != (3, 3, 5, 3)
+    assert significant_multiplicity_to_all(g, z, [3], "strict") == \
+        significant_multiplicity_to_all(g, (3, 3, 5, 3), [3], "strict")
+    a2, _ = preset_graph("A2")
+    for call in (lambda: greedy_tau(a2, (True, True)),
+                 lambda: make_coprime_to_all(a2, (True, True), [2]),
+                 lambda: significant_multiplicity_to_all(a2, (1, True), [2])):
+        with pytest.raises(CyclesError,
+                           match="^cycle must have integer coefficients$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Graph parsing, presets, and the exact combinatorial checks."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from tautcheck.graph import (
     intersection_matrix,
     is_connected,
     is_negative_definite,
-    leading_principal_minors,
     parse_graph,
     potential_tautness_violations,
     preset_graph,
@@ -182,11 +182,19 @@ def test_intersection_matrix_star():
 # negative definiteness
 
 
+def _two_vertices(a, b, edges):
+    return parse_graph(f"vertex a genus=0 selfint={a}\n"
+                       f"vertex b genus=0 selfint={b}\n" + "edge a b\n" * edges)
+
+
 def test_negative_definite_basic_matrices():
-    assert is_negative_definite([[-2]])
-    assert not is_negative_definite([[0]])
-    assert not is_negative_definite([[2]])
-    assert not is_negative_definite([[-2, 3], [3, -2]])
+    assert is_negative_definite(parse_graph("vertex a genus=0 selfint=-2\n"))
+    assert not is_negative_definite(DualGraph())
+    # second minors 3, 0, -2 and -5: positive, zero, then the wrong sign
+    assert is_negative_definite(_two_vertices(-2, -2, 1))
+    assert not is_negative_definite(_two_vertices(-1, -1, 1))
+    assert not is_negative_definite(_two_vertices(-1, -2, 2))
+    assert not is_negative_definite(_two_vertices(-2, -2, 3))
 
 
 def test_negative_definite_presets():
@@ -219,6 +227,26 @@ def _brute_force_negdef(m, box=3):
     return True
 
 
+def _leibniz_det(m):
+    """Exact determinant by the permutation expansion."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += sign * math.prod(row[c] for row, c in zip(m, perm))
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(_decorated_graphs())
+def test_negative_definite_matches_leibniz_minors(g):
+    """The elimination's early exits agree with Sylvester's criterion on
+    minors computed by the permutation expansion."""
+    m = intersection_matrix(g)
+    want = g.n > 0 and all((-1) ** k * _leibniz_det([r[:k] for r in m[:k]]) > 0
+                           for k in range(1, g.n + 1))
+    assert is_negative_definite(g) == want
+
+
 def test_negative_definite_agrees_with_brute_force():
     graphs = [preset_graph(n)[0] for n in ["A1", "A2", "A3", "D4", "D5"]]
     graphs.append(parse_graph("vertex a genus=0 selfint=-1\n"))
@@ -231,13 +259,6 @@ def test_negative_definite_agrees_with_brute_force():
     for g in graphs:
         m = intersection_matrix(g)
         assert is_negative_definite(g) == _brute_force_negdef(m)
-
-
-def test_leading_principal_minors_exact():
-    g, _ = preset_graph("A3")
-    # chain of three -2s: minors -2, 3, -4
-    assert leading_principal_minors(intersection_matrix(g)) == [-2, 3, -4]
-    assert leading_principal_minors([[0, 1], [1, 0]]) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +301,8 @@ def test_connectivity():
 # presets
 
 
+# the reference for the cycles `preset_graph` computes with
+# `anti_ample_cycle`
 PRESET_CYCLES = {
     "D4": (3, 3, 5, 3),
     "D5": (5, 5, 9, 7, 4),

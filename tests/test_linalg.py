@@ -123,7 +123,10 @@ def _d4_model(j, primes):
     (lambda: rank_mod_p(SparseIntMatrix.from_coo(1, 1, [(0, 0, 1)]), 7.0),
      "7.0"),
     (lambda: next_prime(6.5), "6.5"),
-], ids=["build_model-j", "build_model-prime", "rank_mod_p", "next_prime"])
+    # True once read as 1, so the next prime was 2
+    (lambda: next_prime(True), "True"),
+], ids=["build_model-j", "build_model-prime", "rank_mod_p", "next_prime",
+        "next_prime-bool"])
 def test_non_integers_refused_as_primes(call, bad):
     """`is_probable_prime` refuses a non-integer, so every prime check
     built on it does."""

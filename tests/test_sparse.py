@@ -117,6 +117,9 @@ def test_canonical_order_is_row_major():
      "column index -1180591620717411303424 does not fit int32"),
     # rows and columns are int32
     ([(1 << 31, 0, 1)], "row index 2147483648 does not fit int32"),
+    # a bool is not an integer; True once stored the value 1 at row 1
+    ([(True, 0, 2)], "row index True is not an integer"),
+    ([(0, 1, True)], "value True is not an integer"),
 ])
 def test_construction_errors(triples, err):
     with pytest.raises(SparseMatrixError) as e:
