@@ -8,9 +8,8 @@ obstruction dimension h1 per characteristic together with the bad primes.
 
 __version__ = "0.1.0"
 
-from .graph import (DualGraph, GraphError, VertexData, intersection_matrix,
-                    is_connected, is_negative_definite, parse_graph,
-                    preset_graph)
+from .graph import (DualGraph, GraphError, intersection_matrix, is_connected,
+                    is_negative_definite, parse_graph, preset_graph)
 from .cycles import (CyclesError, MultiplicityPlan, anti_ample_cycle,
                      choose_j, fundamental_cycle, greedy_tau, is_anti_ample,
                      make_coprime_to_all, significant_multiplicity_to_all,
@@ -22,7 +21,7 @@ from .linalg import (LinalgError, is_probable_prime, next_prime,
                      prove_rank_over_Q, rank_mod_p)
 
 __all__ = [
-    "DualGraph", "GraphError", "VertexData", "intersection_matrix",
+    "DualGraph", "GraphError", "intersection_matrix",
     "is_connected", "is_negative_definite", "parse_graph", "preset_graph",
     "CyclesError", "MultiplicityPlan", "anti_ample_cycle", "choose_j",
     "fundamental_cycle", "greedy_tau", "is_anti_ample",

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graph import (DualGraph, VertexData, intersection_matrix,
-                    is_connected, is_negative_definite)
+from .graph import (DualGraph, intersection_matrix, is_connected,
+                    is_negative_definite)
 from .linalg import is_int, is_valid_modulus, next_prime
 
 # safety bound on the Laufer iterations; they terminate on negative-definite
@@ -156,17 +156,11 @@ def make_coprime_to_all(g: DualGraph, z: tuple[int, ...],
 # twist-selection plan
 
 
-def _vanishing_terms(d: VertexData) -> tuple[int, int]:
-    """The vertex terms of the two vanishing conditions: 2(2g-2) and
-    2g-2-E^2."""
-    return 2 * (2 * d.genus - 2), 2 * d.genus - 2 - d.selfint
-
-
 def vanishing_floor(g: DualGraph) -> int:
     """Smallest twist bound from the per-vertex vanishing conditions:
     max over vertices of {0, 2(2g-2), 2g-2-E^2}."""
-    return max([0] + [t for vid in g.ids
-                      for t in _vanishing_terms(g.data[vid])])
+    return max([0] + [t for genus, e2 in zip(g.genus, g.selfint)
+                      for t in (2 * (2 * genus - 2), 2 * genus - 2 - e2)])
 
 
 def greedy_tau(g: DualGraph, zbar: tuple[int, ...]) -> tuple[int, list[int]]:

@@ -28,31 +28,26 @@ class GraphError(ValueError):
 
 
 @dataclass
-class VertexData:
-    """Decorations of a single vertex."""
-
-    genus: int
-    selfint: int
-
-
-@dataclass
 class DualGraph:
     """A weighted multigraph given by vertex order, decorations and edges.
 
     Attributes
     ----------
     ids : list of str
-        Vertex identifiers in declaration order.  All cycle tuples and
-        matrices returned by this package are indexed in this order.
-    data : dict
-        Maps each id to its :class:`VertexData`.
-    edges : list of (str, str)
-        Edges in declaration order; duplicates encode parallel edges.
+        Vertex identifiers in declaration order, for display and
+        messages.  Everything else, and all cycle tuples and matrices
+        returned by this package, is indexed by position in this order.
+    genus, selfint : list of int
+        The decorations of each vertex.
+    edges : list of (int, int)
+        Edges as pairs of vertex positions, in declaration order;
+        duplicates encode parallel edges.
     """
 
     ids: list[str] = field(default_factory=list)
-    data: dict[str, VertexData] = field(default_factory=dict)
-    edges: list[tuple[str, str]] = field(default_factory=list)
+    genus: list[int] = field(default_factory=list)
+    selfint: list[int] = field(default_factory=list)
+    edges: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -60,7 +55,7 @@ class DualGraph:
 
     def add_vertex(self, vid: str, genus: int, selfint: int,
                    mult: int | None = None) -> None:
-        if vid in self.data:
+        if vid in self.ids:
             raise GraphError(f"duplicate vertex id {vid!r}")
         for key, x in (("genus", genus), ("selfint", selfint),
                        ("mult", 1 if mult is None else mult)):
@@ -73,25 +68,20 @@ class DualGraph:
         if mult is not None and mult < 1:
             raise GraphError(f"vertex {vid!r}: mult must be >= 1")
         self.ids.append(vid)
-        self.data[vid] = VertexData(genus, selfint)
+        self.genus.append(genus)
+        self.selfint.append(selfint)
 
     def add_edge(self, a: str, b: str) -> None:
-        if a not in self.data:
-            raise GraphError(f"edge references unknown vertex {a!r}")
-        if b not in self.data:
-            raise GraphError(f"edge references unknown vertex {b!r}")
+        for vid in (a, b):
+            if vid not in self.ids:
+                raise GraphError(f"edge references unknown vertex {vid!r}")
         if a == b:
             raise GraphError(f"loop edge at vertex {a!r} is not allowed")
-        self.edges.append((a, b))
+        self.edges.append((self.ids.index(a), self.ids.index(b)))
 
-    def edge_indices(self) -> list[tuple[int, int]]:
-        """Edges as pairs of vertex indices, in declaration order."""
-        pos = {vid: i for i, vid in enumerate(self.ids)}
-        return [(pos[a], pos[b]) for a, b in self.edges]
-
-    def valence(self, vid: str) -> int:
-        """Number of edge endpoints at `vid` (parallel edges count)."""
-        return sum((a == vid) + (b == vid) for a, b in self.edges)
+    def valence(self, i: int) -> int:
+        """Number of edge endpoints at vertex `i` (parallel edges count)."""
+        return sum((a == i) + (b == i) for a, b in self.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +157,9 @@ def intersection_matrix(g: DualGraph) -> list[list[int]]:
     multiplicities off it.  Entries are exact Python ints."""
     n = g.n
     m = [[0] * n for _ in range(n)]
-    for i, vid in enumerate(g.ids):
-        m[i][i] = g.data[vid].selfint
-    for i, j in g.edge_indices():
+    for i, s in enumerate(g.selfint):
+        m[i][i] = s
+    for i, j in g.edges:
         m[i][j] += 1
         m[j][i] += 1
     return m
@@ -178,12 +168,12 @@ def intersection_matrix(g: DualGraph) -> list[list[int]]:
 def is_connected(g: DualGraph) -> bool:
     if g.n == 0:
         return False
-    adj: dict[str, set[str]] = {v: set() for v in g.ids}
+    adj: list[set[int]] = [set() for _ in range(g.n)]
     for a, b in g.edges:
         adj[a].add(b)
         adj[b].add(a)
-    seen = {g.ids[0]}
-    stack = [g.ids[0]]
+    seen = {0}
+    stack = [0]
     while stack:
         for w in adj[stack.pop()]:
             if w not in seen:
@@ -229,10 +219,10 @@ def admissibility_violations(g: DualGraph) -> list[str]:
 def potential_tautness_violations(g: DualGraph) -> list[str]:
     """Human-readable reasons why the graph fails the genus/valence test."""
     reasons = []
-    for vid in g.ids:
-        if g.data[vid].genus != 0:
-            reasons.append(f"vertex {vid} has genus {g.data[vid].genus} > 0")
-        val = g.valence(vid)
+    for i, vid in enumerate(g.ids):
+        if g.genus[i] != 0:
+            reasons.append(f"vertex {vid} has genus {g.genus[i]} > 0")
+        val = g.valence(i)
         if val > 3:
             reasons.append(f"vertex {vid} has valence {val} > 3")
     return reasons

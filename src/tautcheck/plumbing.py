@@ -52,9 +52,9 @@ class PlumbingError(ValueError):
 
 @dataclass(eq=False)
 class PlumbingModel:
-    """A dual graph with uniform multiplicity j and slot assignments."""
+    """The charts of a dual graph: uniform multiplicity j, each vertex's
+    nu = -selfint, slot assignments and intersection points."""
 
-    graph: DualGraph
     j: int
     nu: list[int]
     slots: list[dict[int, str]]       # per vertex: edge index -> slot,
@@ -92,7 +92,7 @@ def build_model(g: DualGraph, j: int, primes: list[int]) -> PlumbingModel:
         raise PlumbingError(f"j = {j} divides a vertex multiplicity in "
                             f"characteristic {j}; pick j outside the "
                             f"candidate primes")
-    points = g.edge_indices()
+    points = list(g.edges)
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for ei, (a, b) in enumerate(points):
         incident[a].append(ei)
@@ -101,7 +101,7 @@ def build_model(g: DualGraph, j: int, primes: list[int]) -> PlumbingModel:
     for l, eis in enumerate(incident):
         eis.sort(key=lambda ei: (sum(points[ei]) - l, ei))
         slots.append(dict(zip(eis, _SLOT_ORDER)))
-    return PlumbingModel(graph=g, j=j, nu=[-g.data[v].selfint for v in g.ids],
+    return PlumbingModel(j=j, nu=[-s for s in g.selfint],
                          slots=slots, points=points,
                          row_count=len(points) * _point_rows(j))
 
@@ -167,13 +167,12 @@ class _ColumnBatch:
     b: np.ndarray
 
 
-def _candidate_columns(model: PlumbingModel) -> list[_ColumnBatch]:
+def _candidate_columns(model: PlumbingModel):
     """Per (vertex, family) parameter grids in canonical column order
-    (vertex, then family dy < dx < dx_extra, then b, then a).  Each
-    family is one grid row (family, b_lo, a_lo, slope, intercept) holding
-    b_lo <= b < j and a_lo <= a <= slope*b + intercept; dx_extra exists
-    only while slot "inf" is free."""
-    batches: list[_ColumnBatch] = []
+    (vertex, then family dy < dx < dx_extra, then b, then a), yielded
+    one batch at a time.  Each family is one grid row (family, b_lo,
+    a_lo, slope, intercept) holding b_lo <= b < j and a_lo <= a <=
+    slope*b + intercept; dx_extra exists only while slot "inf" is free."""
     col, j = 0, model.j
     for l, nu in enumerate(model.nu):
         occ = model.slots[l].values()
@@ -186,14 +185,9 @@ def _candidate_columns(model: PlumbingModel) -> list[_ColumnBatch]:
             bs = np.arange(b_lo, j, dtype=np.int64)
             lens = np.maximum(slope * bs + intercept - a_lo + 1, 0)
             a = _ragged_arange(lens) + a_lo
-            batches.append(_ColumnBatch(l, family, vanish_one, col, a,
-                                        np.repeat(bs, lens)))
+            yield _ColumnBatch(l, family, vanish_one, col, a,
+                               np.repeat(bs, lens))
             col += int(a.size)
-    return batches
-
-
-def _column_count(batches: list[_ColumnBatch]) -> int:
-    return (batches[-1].col_start + batches[-1].a.size) if batches else 0
 
 
 def _point_context(model: PlumbingModel, l: int,
@@ -242,49 +236,39 @@ class _Runs(NamedTuple):
     where: tuple                     # (kind, swap, n, offset)
 
 
-def _entry_runs(model: PlumbingModel, batches: list[_ColumnBatch]):
-    """Every matrix entry in the point windows of size n = j, walked once
-    per (column batch, incident point, chart term) and yielded as `_Runs`
-    blocks.  An unshifted term gives runs of length 0 or 1 with factor
-    C(0, 0)."""
-    n = model.j
-    for batch in batches:
-        l = batch.vertex
-        for ei in model.slots[l]:
-            chart, shifted, swap = _point_context(model, l, ei)
-            offset = ei * _point_rows(n)
-            for coef, xa, xb, xc, e, yoff, kind in \
-                    _terms(batch.family, batch.vanish_one, model.nu[l], chart):
-                xe = xa * batch.a + xb * batch.b + xc
-                ye = batch.b + yoff
-                where = (kind, swap, n, offset)
-                if not shifted:
-                    # xbar^xe (xbar - 1)^e, one monomial per piece
-                    for c, x in (((coef, xe),) if e == 0 else
-                                 ((coef, xe + 1), (-coef, xe))):
-                        lens = _window_mask(kind, x, ye, n)
-                        yield _Runs(batch.col_start, lens, x, ye, 0, 0, c, where)
-                    continue
-                # (xbar+1)^xe xbar^e -> sum_k C(xe, k-e) xbar^k, k >= klo
-                klo = max(e, 1 if kind == KIND_DX else 0)
-                ylo = 1 if kind == KIND_DY else 0
-                lens = np.maximum(np.minimum(xe + e, n - 1) - klo + 1, 0)
-                lens *= (ye >= ylo) & (ye < n)
-                yield _Runs(batch.col_start, lens, klo, ye, xe, klo - e, coef,
-                            where)
+def _entry_runs(model: PlumbingModel, batch: _ColumnBatch):
+    """Every matrix entry of one column batch in the point windows of
+    size n = j, walked once per (incident point, chart term) and yielded
+    as `_Runs` blocks.  An unshifted term gives runs of length 0 or 1
+    with factor C(0, 0)."""
+    n, l = model.j, batch.vertex
+    for ei in model.slots[l]:
+        chart, shifted, swap = _point_context(model, l, ei)
+        offset = ei * _point_rows(n)
+        for coef, xa, xb, xc, e, yoff, kind in \
+                _terms(batch.family, batch.vanish_one, model.nu[l], chart):
+            xe = xa * batch.a + xb * batch.b + xc
+            ye = batch.b + yoff
+            where = (kind, swap, n, offset)
+            if not shifted:
+                # xbar^xe (xbar - 1)^e, one monomial per piece
+                for c, x in (((coef, xe),) if e == 0 else
+                             ((coef, xe + 1), (-coef, xe))):
+                    lens = _window_mask(kind, x, ye, n)
+                    yield _Runs(batch.col_start, lens, x, ye, 0, 0, c, where)
+                continue
+            # (xbar+1)^xe xbar^e -> sum_k C(xe, k-e) xbar^k, k >= klo
+            klo = max(e, 1 if kind == KIND_DX else 0)
+            ylo = 1 if kind == KIND_DY else 0
+            lens = np.maximum(np.minimum(xe + e, n - 1) - klo + 1, 0)
+            lens *= (ye >= ylo) & (ye < n)
+            yield _Runs(batch.col_start, lens, klo, ye, xe, klo - e, coef,
+                        where)
 
 
 def _spread(v: np.ndarray | int, lens: np.ndarray) -> np.ndarray | int:
     """Per-run values over the entries of their runs (an int stays)."""
     return v.repeat(lens) if isinstance(v, np.ndarray) else v
-
-
-def _used_columns(runs, ncols: int) -> np.ndarray:
-    """Bitmap of the candidate columns that hold an entry of `runs`."""
-    used = np.zeros(ncols, dtype=bool)
-    for run in runs:
-        used[run.col0:run.col0 + run.lens.size] |= run.lens > 0
-    return used
 
 
 def _binomials(nmax: int, kmax: int) -> np.ndarray:
@@ -300,20 +284,24 @@ def _binomials(nmax: int, kmax: int) -> np.ndarray:
 def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
     """Assemble the restriction matrix.
 
-    Keeps the non-empty runs of one `_entry_runs` walk, allocates the
-    entry arrays once for their total length and fills them; never
-    materializes a dense row.  Columns are numbered once, on the
-    candidate grid: all-zero candidate columns are dropped, and the rest
-    keep their order.  An
+    Keeps the non-empty runs of one `_entry_runs` walk over the column
+    batches, allocates the entry arrays once for their total length and
+    fills them; never materializes a dense row.  Columns are numbered
+    once, on the candidate grid: all-zero candidate columns are dropped,
+    and the rest keep their order.  An
     entry coef * C(n, k) is filled as one key for (coef, n, k); the keys
     in use are numbered the same way, and become codes into the exact
     table of their values.
     """
-    batches = _candidate_columns(model)
-    ncols = _column_count(batches)
-    runs = [(run, n) for run in _entry_runs(model, batches)
+    runs = [(run, n) for batch in _candidate_columns(model)
+            for run in _entry_runs(model, batch)
             if (n := int(run.lens.sum()))]
-    used = _used_columns((run for run, _ in runs), ncols)
+    # used[c]: candidate column c holds an entry (the bitmap ends at the
+    # last such column)
+    used = np.zeros(max((run.col0 + run.lens.size for run, _ in runs),
+                        default=0), dtype=bool)
+    for run, _ in runs:
+        used[run.col0:run.col0 + run.lens.size] |= run.lens > 0
     # candidate column -> matrix column: its place among the used ones
     new_id = np.cumsum(used, dtype=np.int32) - 1
     ncols = int(np.count_nonzero(used))
@@ -353,11 +341,14 @@ def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
 def estimate_assembly(model: PlumbingModel) -> dict:
     """Exact entry count and a memory estimate without materializing the
     entry arrays.  The count sums the run lengths `assemble_matrix`
-    fills (no additive cancellation occurs), so it is the assembled nnz."""
-    batches = _candidate_columns(model)
-    nnz = sum(int(run.lens.sum()) for run in _entry_runs(model, batches))
+    fills (no additive cancellation occurs), so it is the assembled nnz.
+    One column batch is held at a time."""
+    cols = nnz = 0
+    for batch in _candidate_columns(model):
+        cols += batch.a.size
+        nnz += sum(int(run.lens.sum()) for run in _entry_runs(model, batch))
     return {
-        "candidate_columns": _column_count(batches),
+        "candidate_columns": cols,
         "nnz": nnz,
         "assembly_peak_bytes": nnz * 96,
     }

@@ -6,8 +6,8 @@ Each entry is stored as its row, its column and an int32 `code` into
 entries but few distinct values ``coef * C(n, k)`` (E8: 25,010,996
 entries, 110,027 values, many far beyond int64), so an entry costs 12
 bytes and reduction mod p reduces each distinct value once and looks
-its residue up per entry.  `values` is int64, or an object array of
-exact ints when a value does not fit int64.
+its residue up per entry.  `values` is always an object array of
+exact ints.
 
 Rows and columns are int32; a shape of 2^31 or more is refused.
 Entries are stored in the order they are given; `write_matrix_text`
@@ -33,24 +33,23 @@ class SparseMatrixError(ValueError):
     """Raised for malformed matrix data."""
 
 
-def _exact_ints(what: str, a, dtype, wide: bool = False) -> np.ndarray:
-    """`a` as a `dtype` array of exact integers, else SparseMatrixError
-    naming `what`; with `wide`, values beyond `dtype` give an object array
-    of exact ints.  An array that has `dtype` already is not scanned."""
+def _exact_ints(what: str, a, dtype) -> np.ndarray:
+    """`a` as an int32 array, or for `dtype` object as a flat array of
+    exact Python ints, else SparseMatrixError naming `what`.  An int32
+    array asked for as int32 is not scanned."""
     a = np.asarray(a)
-    if a.dtype == dtype:
+    if a.dtype == dtype == np.int32:
         return a
     for v in ([] if a.dtype.kind in "iu" else a.flat):
         if not is_int(v):
             raise SparseMatrixError(f"{what} {v!r} is not an integer")
+    if dtype == object:
+        return np.array([int(v) for v in a.flat], dtype=object)
     lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
-    info = np.iinfo(dtype)
-    if info.min <= lo and hi <= info.max:
-        return a.astype(dtype)
-    if not wide:
-        bad = lo if lo < info.min else hi
-        raise SparseMatrixError(f"{what} {bad} does not fit {dtype.__name__}")
-    return np.array([int(v) for v in a.flat], dtype=object)
+    if -(1 << 31) <= lo and hi < 1 << 31:
+        return a.astype(np.int32)
+    bad = lo if lo < -(1 << 31) else hi
+    raise SparseMatrixError(f"{what} {bad} does not fit int32")
 
 
 class SparseIntMatrix:
@@ -62,9 +61,7 @@ class SparseIntMatrix:
     row, col : int32 arrays, in the order given (not sorted)
     code : int32 array
         Entry i has value ``values[code[i]]``.
-    values : 1-D array of nonzero exact ints
-        int64, or an object array of exact ints when a value does not
-        fit int64.
+    values : object array of nonzero exact ints
     """
 
     __slots__ = ("nrows", "ncols", "row", "col", "code", "values")
@@ -78,7 +75,7 @@ class SparseIntMatrix:
         row = _exact_ints("row index", row, np.int32)
         col = _exact_ints("column index", col, np.int32)
         code = _exact_ints("value code", code, np.int32)
-        values = _exact_ints("value", values, np.int64, wide=True)
+        values = _exact_ints("value", values, object)
         if not row.size == col.size == code.size:
             raise SparseMatrixError("entry arrays disagree in length")
         if (values == 0).any():
@@ -111,7 +108,7 @@ class SparseIntMatrix:
         the table holds the distinct values in increasing order."""
         t = np.array(list(triples), dtype=object).reshape(-1, 3)
         values, code = np.unique(
-            _exact_ints("value", t[:, 2], np.int64, wide=True),
+            _exact_ints("value", t[:, 2], object),
             return_inverse=True)
         return cls(nrows, ncols, t[:, 0], t[:, 1], code, values)
 

@@ -6,7 +6,7 @@ files and round-trip `parse_graph`; it imports nothing from
 def graph_text(g):
     """The text format of a DualGraph: its vertex lines in order, then
     one edge line per edge (a parallel edge repeats its line)."""
-    lines = [f"vertex {vid} genus={g.data[vid].genus} "
-             f"selfint={g.data[vid].selfint}" for vid in g.ids]
-    lines += [f"edge {a} {b}" for a, b in g.edges]
+    lines = [f"vertex {vid} genus={genus} selfint={selfint}"
+             for vid, genus, selfint in zip(g.ids, g.genus, g.selfint)]
+    lines += [f"edge {g.ids[a]} {g.ids[b]}" for a, b in g.edges]
     return "\n".join(lines) + "\n"

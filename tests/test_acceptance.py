@@ -86,6 +86,27 @@ def test_criterion_02_reference_table_e8_long_running():
     assert peak < 1.5e9, f"peak resident set {peak >> 20} MiB"
 
 
+# h1 at (Q, 2, 3, 5, 7) in windows far below the automatic j: E7 from
+# j = 11 and E8 from j = 17 on already give the reference rows, whose h1 + 1
+# is Artin's count of forms; E8 at j = 13 is one short at p = 2 (measured)
+SMALL_WINDOWS = {
+    ("E7", 11): (0,) + SLOW_TIER["E7"][2],
+    ("E7", 17): (0,) + SLOW_TIER["E7"][2],
+    ("E8", 13): (0, 3, 2, 1, 0),
+    ("E8", 17): (0,) + E8_ROW[2],
+    ("E8", 19): (0,) + E8_ROW[2],
+    ("E8", 23): (0,) + E8_ROW[2],
+}
+
+
+@pytest.mark.parametrize("preset, j", list(SMALL_WINDOWS))
+def test_small_windows_reach_artin_counts(preset, j):
+    r = analyze(preset=preset, j=j)
+    assert tuple(res["h1"] for res in r["results"].values()) == \
+        SMALL_WINDOWS[preset, j]
+    assert r["certified"] is True
+
+
 def test_criterion_03_row_count_formula():
     cases = [(preset, TABLE_J[preset]) for preset in TABLE_J]
     cases += [(f"A{n}", 11) for n in range(1, 7)]

@@ -29,8 +29,7 @@ from graph_writer import graph_text
 def test_parse_single_vertex():
     g = parse_graph("vertex a genus=0 selfint=-2\n")
     assert g.ids == ["a"]
-    assert g.data["a"].genus == 0
-    assert g.data["a"].selfint == -2
+    assert (g.genus, g.selfint) == ([0], [-2])
     assert g.edges == []
 
 
@@ -48,16 +47,19 @@ def test_parse_star_with_comments_and_mult():
     g = parse_graph(text)
     assert g.n == 4
     # mult is validated, not stored
-    assert vars(g.data["c"]) == {"genus": 0, "selfint": -2}
-    assert g.valence("c") == 3
-    assert g.valence("l1") == 1
+    assert set(vars(g)) == {"ids", "genus", "selfint", "edges"}
+    assert (g.genus, g.selfint) == ([0] * 4, [-2] * 4)
+    # edges are pairs of vertex positions
+    assert g.edges == [(1, 0), (2, 0), (3, 0)]
+    assert g.valence(0) == 3
+    assert g.valence(1) == 1
 
 
 def test_parse_parallel_edges_counted():
     g = parse_graph("vertex a genus=0 selfint=-3\n"
                     "vertex b genus=0 selfint=-3\n"
                     "edge a b\nedge a b\n")
-    assert g.valence("a") == 2
+    assert g.valence(0) == 2
     assert intersection_matrix(g) == [[-3, 2], [2, -3]]
 
 
@@ -95,7 +97,7 @@ def test_add_vertex_refuses_non_integer_decorations(decorations, key):
     with pytest.raises(GraphError,
                        match=f"^vertex 'a': {key} must be an integer$"):
         g.add_vertex("a", *decorations)
-    assert g.ids == [] and g.data == {}
+    assert vars(g) == vars(DualGraph())
     g.add_vertex("a", 0, -2, np.int64(3))
     g.add_vertex("b", np.int64(0), np.int64(-2))
     assert g.ids == ["a", "b"]

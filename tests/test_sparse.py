@@ -61,12 +61,11 @@ def test_factored_values_are_exact():
 
 def test_huge_literal_values_stay_exact():
     """Values at and beyond the int64 limits keep their exact value on
-    every route; those beyond make `values` an object array."""
+    every route, in an object array of exact ints."""
     for v in ((1 << 63) - 1, 1 << 63, -(1 << 63), -(1 << 63) - 1, 10**80):
         coo = [(0, 1, v), (0, 0, 2), (1, 1, -3)]
         m = SparseIntMatrix.from_coo(2, 2, coo)
-        fits = -(1 << 63) <= v < 1 << 63
-        assert m.values.dtype == (np.int64 if fits else object)
+        assert m.values.dtype == object
         assert triples(m)[0] == (0, 1, v)
         assert oracle_dense(m) == [[2, v], [0, -3]]
         parsed = parse_matrix_text(_to_text(m))
@@ -87,7 +86,7 @@ def test_huge_literal_values_stay_exact():
 
 def test_from_coo_accepts_an_empty_iterator():
     m = SparseIntMatrix.from_coo(2, 2, iter(()))
-    assert m.nnz == 0 and m.values.dtype == np.int64
+    assert m.nnz == 0 and m.values.dtype == object
     assert oracle_dense(m) == [[0, 0], [0, 0]]
     assert rank_mod_p(m, 2) == 0
 
@@ -159,23 +158,27 @@ def test_constructor_rejects_float_arrays():
 
 
 def test_uint64_values_beyond_int64_stay_exact():
-    """Only values fall back to exact ints; a uint64 at or above 2^63
-    used to wrap to a negative int64."""
+    """Every value table holds exact Python ints; a uint64 at or above
+    2^63 once wrapped to a negative int64."""
     big = np.array([1 << 63, 5], dtype=np.uint64)
     m = SparseIntMatrix(1, 2, [0, 0], [0, 1], [0, 1], big)
-    assert m.values.dtype == object and oracle_dense(m) == [[1 << 63, 5]]
     small = SparseIntMatrix(1, 1, [0], [0], [0], big[1:])
-    assert small.values.dtype == np.int64 and oracle_dense(small) == [[5]]
+    for mat in (m, small):
+        assert mat.values.dtype == object
+        assert {type(v) for v in mat.values} == {int}
+    assert oracle_dense(m) == [[1 << 63, 5]] and oracle_dense(small) == [[5]]
 
 
 def test_stored_dtypes_pass_uncopied():
-    """Arrays that already have the stored dtypes, as assembly's do, are
-    kept as given: no scan, no copy."""
+    """int32 index and code arrays, as assembly's are, are kept as
+    given: no scan, no copy.  The value table becomes exact ints."""
     row, col, code = (np.array([0, 1], dtype=np.int32) for _ in range(3))
     values = np.array([1, 2], dtype=np.int64)
     m = SparseIntMatrix(2, 2, row, col, code, values)
-    stored = (m.row, m.col, m.code, m.values)
-    assert all(a is b for a, b in zip(stored, (row, col, code, values)))
+    assert all(a is b for a, b in zip((m.row, m.col, m.code),
+                                      (row, col, code)))
+    assert m.values.dtype == object and m.values.tolist() == [1, 2]
+    assert {type(v) for v in m.values} == {int}
 
 
 @pytest.mark.parametrize("code, values, err", [
@@ -244,9 +247,7 @@ def test_entry_order_changes_no_result(case):
     nrows, ncols, coo, shuffled = case
     given_order = SparseIntMatrix.from_coo(nrows, ncols, coo)
     m = SparseIntMatrix.from_coo(nrows, ncols, shuffled)
-    fits = all(-(1 << 63) <= v < 1 << 63 for _, _, v in coo)
-    assert m.values.dtype == given_order.values.dtype == \
-        (np.int64 if fits else object)
+    assert m.values.dtype == given_order.values.dtype == object
     assert _to_text(m) == _to_text(given_order)
     dense = [[0] * ncols for _ in range(nrows)]
     for r, c, v in coo:
