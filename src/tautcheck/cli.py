@@ -78,8 +78,7 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
 
     Exactly one of `graph` (a DualGraph) and `preset` (a name) must be
     given.  An input whose estimated assembly footprint exceeds `mem_cap`
-    bytes (by default the physical memory), or whose estimate itself runs
-    out of memory, is refused before assembly.
+    bytes (by default the physical memory) is refused before assembly.
     """
     if (graph is None) == (preset is None):
         raise ValueError("pass exactly one of graph= or preset=")
@@ -145,11 +144,7 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     except PlumbingError as exc:
         return _refusal(base, "model", [str(exc)])
 
-    try:
-        est = estimate_assembly(model)
-    except MemoryError:
-        return _refusal(base, "assembly", [
-            "estimating the assembly footprint ran out of memory"])
+    est = estimate_assembly(model)
     if mem_cap is None:
         mem_cap = _physical_memory()
     if mem_cap is not None and est["assembly_peak_bytes"] > mem_cap:

@@ -59,10 +59,12 @@ def _least_cycle(g: DualGraph, limit: int, what: str) -> tuple[int, ...]:
         raise CyclesError(f"{what} needs a negative-definite graph")
     m = intersection_matrix(g)
     z = [1] * g.n
+    pair = _pairing(m, z)
     for _ in range(_MAX_STEPS):
-        for i, v in enumerate(_pairing(m, z)):
+        for i, v in enumerate(pair):
             if v > limit:
-                z[i] += 1
+                z[i] += 1           # (M z) gains column i of M
+                pair = [x + mk[i] for x, mk in zip(pair, m)]
                 break
         else:
             return tuple(z)
@@ -185,8 +187,8 @@ def greedy_tau(g: DualGraph, zbar: tuple[int, ...]) -> tuple[int, list[int]]:
     z[0] = 1
     beta = [0]
     recorded: list[int] = []
+    pair = _pairing(m, z)
     while True:
-        pair = _pairing(m, z)
         best = -1
         best_score = None
         for v in range(n):
@@ -199,6 +201,7 @@ def greedy_tau(g: DualGraph, zbar: tuple[int, ...]) -> tuple[int, list[int]]:
             break
         recorded.append(pair[best])
         z[best] += 1
+        pair = [x + mk[best] for x, mk in zip(pair, m)]
         beta.append(best)
     return (max(recorded) if recorded else 0), beta
 

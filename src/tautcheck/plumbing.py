@@ -167,20 +167,26 @@ class _ColumnBatch:
     b: np.ndarray
 
 
+def _family_grid(model: PlumbingModel, l: int) -> tuple[bool, list]:
+    """(vanish_one, grid) of vertex l: each family is one grid row
+    (family, b_lo, a_lo, slope, intercept) holding b_lo <= b < j and
+    a_lo <= a <= slope*b + intercept; dx_extra exists only while slot
+    "inf" is free."""
+    occ = model.slots[l].values()
+    vanish_one, nu = SLOT1 in occ, model.nu[l]
+    grid = [(FAMILY_DY, 1, 0, nu, -nu),
+            (FAMILY_DX, 0, int(SLOT0 in occ), nu, int(not vanish_one))]
+    if SLOTINF not in occ:
+        grid.append((FAMILY_DX_EXTRA, 0, 0, 0, 0))
+    return vanish_one, grid
+
+
 def _candidate_columns(model: PlumbingModel):
-    """Per (vertex, family) parameter grids in canonical column order
-    (vertex, then family dy < dx < dx_extra, then b, then a), yielded
-    one batch at a time.  Each family is one grid row (family, b_lo,
-    a_lo, slope, intercept) holding b_lo <= b < j and a_lo <= a <=
-    slope*b + intercept; dx_extra exists only while slot "inf" is free."""
+    """The `_family_grid` grids in column order (vertex, then family dy
+    < dx < dx_extra, then b, then a), one (vertex, family) at a time."""
     col, j = 0, model.j
-    for l, nu in enumerate(model.nu):
-        occ = model.slots[l].values()
-        vanish_one = SLOT1 in occ
-        grid = [(FAMILY_DY, 1, 0, nu, -nu),
-                (FAMILY_DX, 0, int(SLOT0 in occ), nu, int(not vanish_one))]
-        if SLOTINF not in occ:
-            grid.append((FAMILY_DX_EXTRA, 0, 0, 0, 0))
+    for l in range(len(model.nu)):
+        vanish_one, grid = _family_grid(model, l)
         for family, b_lo, a_lo, slope, intercept in grid:
             bs = np.arange(b_lo, j, dtype=np.int64)
             lens = np.maximum(slope * bs + intercept - a_lo + 1, 0)
@@ -212,10 +218,14 @@ def _row_ids(xe: np.ndarray, ye: np.ndarray, kind: str, swap: bool,
     return offset + (n - 1) * n + xe * (n - 1) + (ye - 1)
 
 
+def _lows(kind: str) -> tuple[int, int]:
+    """(xlo, ylo): the least exponents of a `kind` window monomial."""
+    return (1, 0) if kind == KIND_DX else (0, 1)
+
+
 def _window_mask(kind: str, xe: np.ndarray, ye: np.ndarray,
                  n: int) -> np.ndarray:
-    xlo = 1 if kind == KIND_DX else 0
-    ylo = 1 if kind == KIND_DY else 0
+    xlo, ylo = _lows(kind)
     return (xe >= xlo) & (xe < n) & (ye >= ylo) & (ye < n)
 
 
@@ -258,8 +268,8 @@ def _entry_runs(model: PlumbingModel, batch: _ColumnBatch):
                     yield _Runs(batch.col_start, lens, x, ye, 0, 0, c, where)
                 continue
             # (xbar+1)^xe xbar^e -> sum_k C(xe, k-e) xbar^k, k >= klo
-            klo = max(e, 1 if kind == KIND_DX else 0)
-            ylo = 1 if kind == KIND_DY else 0
+            xlo, ylo = _lows(kind)
+            klo = max(e, xlo)
             lens = np.maximum(np.minimum(xe + e, n - 1) - klo + 1, 0)
             lens *= (ye >= ylo) & (ye < n)
             yield _Runs(batch.col_start, lens, klo, ye, xe, klo - e, coef,
@@ -338,15 +348,57 @@ def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
     return SparseIntMatrix(model.row_count, ncols, row, col, code, values)
 
 
+def _ramp_sum(k: int, p: int, q: int, b0: int, b1: int) -> int:
+    """Sum over b0 <= b <= b1 of R(p*b + q), where R(u) = max(u, 0) for
+    k = 1 and R(u) = T(max(u, 0)), T(u) = u(u + 1)/2, for k = 2.  The
+    slope p is 0 or some nu >= 1, never negative."""
+    if p:
+        b0 = max(b0, -q // p + 1)        # the first b with p*b + q > 0
+    elif q <= 0:
+        return 0
+    m = b1 - b0 + 1
+    if m <= 0:
+        return 0
+    u = p * b0 + q                       # the u's are u, u + p, ...
+    s1 = m * u + p * m * (m - 1) // 2
+    return s1 if k == 1 else (s1 + m * u * u + u * p * m * (m - 1) +
+                              p * p * (m - 1) * m * (2 * m - 1) // 6) // 2
+
+
 def estimate_assembly(model: PlumbingModel) -> dict:
-    """Exact entry count and a memory estimate without materializing the
-    entry arrays.  The count sums the run lengths `assemble_matrix`
-    fills (no additive cancellation occurs), so it is the assembled nnz.
-    One column batch is held at a time."""
+    """Exact candidate column and entry counts in closed form, and a
+    memory estimate of 96 bytes per entry.  The count is the sum of the
+    run lengths `_entry_runs` yields (no additive cancellation occurs,
+    so it is the assembled nnz), from the same grids, terms and window
+    bounds: for fixed b, xe runs over [lo(b), hi(b)], both linear in b,
+    so a piece has P(hi) - P(lo - 1) entries, P(t) those at x <= t."""
+    n = model.j
     cols = nnz = 0
-    for batch in _candidate_columns(model):
-        cols += batch.a.size
-        nnz += sum(int(run.lens.sum()) for run in _entry_runs(model, batch))
+    for l, nu in enumerate(model.nu):
+        vanish_one, grid = _family_grid(model, l)
+        for family, b_lo, a_lo, slope, intercept in grid:
+            cols += _ramp_sum(1, slope, intercept - a_lo + 1, b_lo, n - 1)
+            for ei in model.slots[l]:
+                chart, shifted, _ = _point_context(model, l, ei)
+                for _, xa, xb, xc, e, yoff, kind in \
+                        _terms(family, vanish_one, nu, chart):
+                    xlo, ylo = _lows(kind)
+                    # b with ylo <= b + yoff < n; xe at a = a_lo and at
+                    # a = slope*b + intercept, as (p, q) of p*b + q
+                    b0, b1 = max(b_lo, ylo - yoff), n - 1 - yoff
+                    ends = [(xb, xa * a_lo + xc),
+                            (xa * slope + xb, xa * intercept + xc)]
+                    (lp, lq), (hp, hq) = ends if xa >= 0 else ends[::-1]
+                    # piece (s, low): P(t) = R(t + s - low + 1) - R(t +
+                    # s - n + 1), unshifted for x = xe + s in [xlo, n),
+                    # shifted for runs of clip(xe + e - klo + 1, 0, n - klo)
+                    k, pieces = ((2, [(e, max(e, xlo))]) if shifted else
+                                 (1, [(d, xlo) for d in range(e + 1)]))
+                    for s, low in pieces:
+                        for p, q, sign in ((hp, hq, 1), (lp, lq - 1, -1)):
+                            nnz += sign * (
+                                _ramp_sum(k, p, q + s - low + 1, b0, b1) -
+                                _ramp_sum(k, p, q + s - n + 1, b0, b1))
     return {
         "candidate_columns": cols,
         "nnz": nnz,

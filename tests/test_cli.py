@@ -285,20 +285,6 @@ def test_analyze_default_mem_cap_is_physical_memory(monkeypatch):
     assert analyze(preset="D4")["status"] == "ok"
 
 
-def test_estimate_out_of_memory_is_refused_at_assembly(monkeypatch, capsys):
-    """The estimate running out of memory is a refusal, not a traceback."""
-    def exhausted(model):
-        raise MemoryError
-    monkeypatch.setattr(cli, "estimate_assembly", exhausted)
-    r = analyze(preset="D4")
-    assert (r["status"], r["stage"]) == ("refused", "assembly")
-    assert r["reasons"] == [
-        "estimating the assembly footprint ran out of memory"]
-    code, out, err = _run(capsys, ["analyze", "--preset", "D4"])
-    assert code == 2 and err == ""
-    assert "status: refused at stage 'assembly'" in out
-
-
 # ---------------------------------------------------------------------------
 # analyze(): refusals from graph checks
 

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from tautcheck.cli import DEFAULT_PRIMES, analyze
 from tautcheck.cycles import (anti_ample_cycle, choose_j, make_coprime_to_all,
                               significant_multiplicity_to_all)
-from tautcheck.graph import parse_graph, preset_graph
+from tautcheck.graph import admissibility_violations, parse_graph, preset_graph
 from tautcheck.linalg import next_prime, prove_rank_over_Q, rank_mod_p
 from tautcheck.plumbing import (
     PlumbingError,
+    _candidate_columns,
     _point_rows,
     _row_ids,
     _window_mask,
@@ -311,12 +312,60 @@ def _small_tree_models(draw):
     return with_slots(model, draw(_random_slots(valence)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_small_tree_models())
+@st.composite
+def _wide_tree_models(draw):
+    """A potentially-taut tree on 2-5 vertices with self-intersections
+    -1..-4 (drawn ones that are not are discarded), random slots and a
+    prime j in 11..31."""
+    n = draw(st.integers(2, 5))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    g = parse_graph("".join(
+        [f"vertex v{i} genus=0 selfint={draw(st.integers(-4, -1))}\n"
+         for i in range(n)]
+        + [f"edge v{p} v{i}\n" for i, p in enumerate(parents, 1)]))
+    assume(not admissibility_violations(g))
+    valence = [parents.count(l) + (l > 0) for l in range(n)]
+    model = build_model(g, draw(st.sampled_from([11, 13, 17, 19, 23, 29,
+                                                  31])), [2])
+    return with_slots(model, draw(_random_slots(valence)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_small_tree_models(), _wide_tree_models()))
 def test_estimate_and_assembly_agree_on_random_trees(model):
+    """The closed-form count equals the assembled entries, and the
+    candidate columns the assembly walks and the oracle lists."""
     est = estimate_assembly(model)
     assert est["nnz"] == assemble_matrix(model).nnz
-    assert est["candidate_columns"] == len(catalog(model))
+    assert est["candidate_columns"] == len(catalog(model)) == \
+        sum(batch.a.size for batch in _candidate_columns(model))
+
+
+def _automatic_j(name):
+    """The j `analyze` chooses for a preset."""
+    g, cycle = preset_graph(name)
+    if cycle is None:
+        cycle = make_coprime_to_all(g, anti_ample_cycle(g),
+                                    list(DEFAULT_PRIMES))
+    plan = significant_multiplicity_to_all(g, tuple(cycle),
+                                           list(DEFAULT_PRIMES))
+    return choose_j(plan.nu, max(cycle), list(DEFAULT_PRIMES))
+
+
+@pytest.mark.parametrize("name, j, cols, nnz", [
+    ("D4", 11, 906, 2_556),
+    ("E7", 103, 147_297, 1_492_392),
+    ("E8", 271, 1_171_270, 25_010_996),
+    ("A20", 2_099, 176_152_298, 310_455_746),
+])
+def test_closed_form_count_at_the_automatic_j(name, j, cols, nnz):
+    """Candidate columns and entries at the j `analyze` chooses, as the
+    column walk counted them; no assembly could check A20's."""
+    assert _automatic_j(name) == j
+    est = estimate_assembly(build_model(preset_graph(name)[0], j,
+                                        list(DEFAULT_PRIMES)))
+    assert (est["candidate_columns"], est["nnz"]) == (cols, nnz)
+    assert est["assembly_peak_bytes"] == 96 * nnz
 
 
 @settings(max_examples=60, deadline=None)
@@ -488,20 +537,20 @@ def test_assembly_peak_within_estimate(source):
     assert peak <= bound
 
 
-def test_estimate_holds_one_column_batch():
-    """The estimate walks one (vertex, family) column batch at a time, so
-    its traced peak stays far below the footprint it estimates: A20 at
-    j = 401 has 6.4 M candidate columns and peaked at 103 MiB while every
-    batch was held at once."""
-    model = build_model(preset_graph("A20")[0], 401, list(DEFAULT_PRIMES))
+def test_estimate_allocates_nothing_per_column():
+    """The count is closed form: A20 at its automatic j = 2,099 has
+    176 M candidate columns and 310 M entries, and the estimate's traced
+    peak stays under 1 MiB (the column walk it replaced peaked at
+    ~244 MiB resident there)."""
+    model = build_model(preset_graph("A20")[0], 2_099, list(DEFAULT_PRIMES))
     tracemalloc.start()
     try:
         est = estimate_assembly(model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert est["nnz"] == 11_307_200
-    assert peak < 32 * 2**20
+    assert est["nnz"] == 310_455_746
+    assert peak < 2**20
 
 
 def test_unshifted_points_have_small_entries():
