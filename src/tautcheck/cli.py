@@ -308,7 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:        # argparse: 0 after --help, else usage
+        return 1 if exc.code else 0
     # every package error is a ValueError
     try:
         graph = None

@@ -264,7 +264,7 @@ def preset_graph(name: str) -> tuple[DualGraph, tuple[int, ...] | None]:
     key = name.strip().upper().replace("_", "")
     m = re.fullmatch(r"([ADE])(\d+)", key)
     sizes, fixed, first = _PRESET_TREES[m[1]] if m else ((), (), 1)
-    if m is None or (sizes is not None and m[2] not in map(str, sizes)):
+    if m is None or (sizes is not None and int(m[2]) not in sizes):
         raise GraphError(f"unknown preset {name!r} "
                          f"(available: A<n>, D4, D5, D6, D7, E6, E7, E8)")
     n = int(m[2])

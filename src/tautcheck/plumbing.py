@@ -25,7 +25,6 @@ coef * C(n, k) with coef one of +-1, +-nu_l.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -150,21 +149,9 @@ def _terms(family: str, vanish_one: bool, nu: int, chart: int):
 
 
 def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
+    """0, 1, ..., lengths[i] - 1 for each i in turn."""
     starts = np.cumsum(lengths) - lengths
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
-
-
-@dataclass
-class _ColumnBatch:
-    vertex: int
-    family: str
-    vanish_one: bool
-    col_start: int
-    a: np.ndarray
-    b: np.ndarray
+    return np.arange(lengths.sum(), dtype=np.int64) - starts.repeat(lengths)
 
 
 def _family_grid(model: PlumbingModel, l: int) -> tuple[bool, list]:
@@ -179,21 +166,6 @@ def _family_grid(model: PlumbingModel, l: int) -> tuple[bool, list]:
     if SLOTINF not in occ:
         grid.append((FAMILY_DX_EXTRA, 0, 0, 0, 0))
     return vanish_one, grid
-
-
-def _candidate_columns(model: PlumbingModel):
-    """The `_family_grid` grids in column order (vertex, then family dy
-    < dx < dx_extra, then b, then a), one (vertex, family) at a time."""
-    col, j = 0, model.j
-    for l in range(len(model.nu)):
-        vanish_one, grid = _family_grid(model, l)
-        for family, b_lo, a_lo, slope, intercept in grid:
-            bs = np.arange(b_lo, j, dtype=np.int64)
-            lens = np.maximum(slope * bs + intercept - a_lo + 1, 0)
-            a = _ragged_arange(lens) + a_lo
-            yield _ColumnBatch(l, family, vanish_one, col, a,
-                               np.repeat(bs, lens))
-            col += int(a.size)
 
 
 def _point_context(model: PlumbingModel, l: int,
@@ -229,58 +201,6 @@ def _window_mask(kind: str, xe: np.ndarray, ye: np.ndarray,
     return (xe >= xlo) & (xe < n) & (ye >= ylo) & (ye < n)
 
 
-class _Runs(NamedTuple):
-    """Entries of one block, one run per candidate column of a batch:
-    lens[i] entries in column col0 + i, at the side-l monomials
-    (kind, x0[i] + r, ye[i]) with value coef * C(bin_n[i], bin_k[i] + r),
-    for 0 <= r < lens[i].  `lens` is a boolean mask when every run has
-    length 0 or 1; x0, bin_n and bin_k are arrays or one int for all."""
-
-    col0: int
-    lens: np.ndarray
-    x0: np.ndarray | int
-    ye: np.ndarray
-    bin_n: np.ndarray | int
-    bin_k: np.ndarray | int
-    coef: int
-    where: tuple                     # (kind, swap, n, offset)
-
-
-def _entry_runs(model: PlumbingModel, batch: _ColumnBatch):
-    """Every matrix entry of one column batch in the point windows of
-    size n = j, walked once per (incident point, chart term) and yielded
-    as `_Runs` blocks.  An unshifted term gives runs of length 0 or 1
-    with factor C(0, 0)."""
-    n, l = model.j, batch.vertex
-    for ei in model.slots[l]:
-        chart, shifted, swap = _point_context(model, l, ei)
-        offset = ei * _point_rows(n)
-        for coef, xa, xb, xc, e, yoff, kind in \
-                _terms(batch.family, batch.vanish_one, model.nu[l], chart):
-            xe = xa * batch.a + xb * batch.b + xc
-            ye = batch.b + yoff
-            where = (kind, swap, n, offset)
-            if not shifted:
-                # xbar^xe (xbar - 1)^e, one monomial per piece
-                for c, x in (((coef, xe),) if e == 0 else
-                             ((coef, xe + 1), (-coef, xe))):
-                    lens = _window_mask(kind, x, ye, n)
-                    yield _Runs(batch.col_start, lens, x, ye, 0, 0, c, where)
-                continue
-            # (xbar+1)^xe xbar^e -> sum_k C(xe, k-e) xbar^k, k >= klo
-            xlo, ylo = _lows(kind)
-            klo = max(e, xlo)
-            lens = np.maximum(np.minimum(xe + e, n - 1) - klo + 1, 0)
-            lens *= (ye >= ylo) & (ye < n)
-            yield _Runs(batch.col_start, lens, klo, ye, xe, klo - e, coef,
-                        where)
-
-
-def _spread(v: np.ndarray | int, lens: np.ndarray) -> np.ndarray | int:
-    """Per-run values over the entries of their runs (an int stays)."""
-    return v.repeat(lens) if isinstance(v, np.ndarray) else v
-
-
 def _binomials(nmax: int, kmax: int) -> np.ndarray:
     """Exact C(n, k) for 0 <= n <= nmax and 0 <= k <= kmax, from Pascal
     rows, as an object array."""
@@ -292,50 +212,81 @@ def _binomials(nmax: int, kmax: int) -> np.ndarray:
 
 
 def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
-    """Assemble the restriction matrix.
-
-    Keeps the non-empty runs of one `_entry_runs` walk over the column
-    batches, allocates the entry arrays once for their total length and
-    fills them; never materializes a dense row.  Columns are numbered
-    once, on the candidate grid: all-zero candidate columns are dropped,
-    and the rest keep their order.  An
-    entry coef * C(n, k) is filled as one key for (coef, n, k); the keys
-    in use are numbered the same way, and become codes into the exact
-    table of their values.
+    """Assemble the restriction matrix in one walk with the loops of
+    `estimate_assembly` (vertex, family grid row, incident point, chart
+    term, piece), writing every entry straight into row, column and key
+    arrays of the counted length.  Columns are numbered once, on the
+    candidate grid: all-zero candidate columns are dropped, and the rest
+    keep their order.  An entry coef * C(n, k) is filled as one key for
+    (coef, n, k); the keys in use are numbered the same way, and become
+    codes into the exact table of their values.
     """
-    runs = [(run, n) for batch in _candidate_columns(model)
-            for run in _entry_runs(model, batch)
-            if (n := int(run.lens.sum()))]
-    # used[c]: candidate column c holds an entry (the bitmap ends at the
-    # last such column)
-    used = np.zeros(max((run.col0 + run.lens.size for run, _ in runs),
-                        default=0), dtype=bool)
-    for run, _ in runs:
-        used[run.col0:run.col0 + run.lens.size] |= run.lens > 0
-    # candidate column -> matrix column: its place among the used ones
-    new_id = np.cumsum(used, dtype=np.int32) - 1
-    ncols = int(np.count_nonzero(used))
-    # key of (coef, n, k): (coefs.index(coef) * nspan + n) * kspan + k
-    coefs = sorted({run.coef for run, _ in runs})
-    nspan = 1 + max((int(np.max(run.bin_n)) for run, _ in runs), default=0)
-    kspan = max((int(np.max(run.bin_k + run.lens)) for run, _ in runs),
-                default=1)
-    if len(coefs) * nspan * kspan >= 1 << 31:
-        raise PlumbingError("entry value keys do not fit int32")
-    nnz = sum(n for _, n in runs)
+    est = estimate_assembly(model)
+    n, nnz = model.j, est["nnz"]
+    # key of (coef, n, k): (coefs.index(coef) * nspan + n) * kspan + k;
+    # n, k > 0 only at slot "1": k < j, n <= nu*(j - 1) + 2 (chart 0)
+    coefs = sorted({c for nu in model.nu for c in (1, -1, nu, -nu)})
+    nu1 = [nu for nu, s in zip(model.nu, model.slots) if SLOT1 in s.values()]
+    nspan, kspan = (max(nu1) * (n - 1) + 3, n) if nu1 else (1, 1)
+    if max(len(coefs) * nspan * kspan, est["candidate_columns"]) >= 1 << 31:
+        raise PlumbingError("value keys or candidate columns overflow int32")
     row, col, code = (np.empty(nnz, dtype=np.int32) for _ in range(3))
-    end = 0
-    for run, n in runs:
-        # offsets along the runs; all 0 when every run is one entry long
-        r = 0 if run.lens.dtype == bool else _ragged_arange(run.lens)
-        at = slice(end, end + n)
-        end += n
-        row[at] = _row_ids(_spread(run.x0, run.lens) + r,
-                           _spread(run.ye, run.lens), *run.where)
-        col[at] = new_id[run.col0:run.col0 + run.lens.size].repeat(run.lens)
-        key = (coefs.index(run.coef) * nspan + run.bin_n) * kspan + run.bin_k
-        code[at] = _spread(key, run.lens) + r
-    del runs                 # freed before the key sort
+    # used[c]: candidate column c holds an entry
+    used = np.zeros(est["candidate_columns"], dtype=bool)
+    end = col0 = 0
+
+    def fill(rows, cols, keys):
+        nonlocal end
+        at = slice(end, end + rows.size)
+        end += rows.size
+        if end > nnz:
+            raise PlumbingError("more entries than the closed-form count")
+        row[at], col[at], code[at] = rows, cols, keys
+
+    for l, nu in enumerate(model.nu):
+        vanish_one, grid = _family_grid(model, l)
+        for family, b_lo, a_lo, slope, intercept in grid:
+            bs = np.arange(b_lo, n, dtype=np.int64)
+            lens = np.maximum(slope * bs + intercept - a_lo + 1, 0)
+            a, b = _ragged_arange(lens) + a_lo, bs.repeat(lens)
+            ids = np.arange(col0, col0 + a.size, dtype=np.int32)
+            seen = used[col0:col0 + a.size]
+            if (col0 := col0 + a.size) > used.size:
+                raise PlumbingError("more columns than the closed-form count")
+            for ei in model.slots[l]:
+                chart, shifted, swap = _point_context(model, l, ei)
+                where = (swap, n, ei * _point_rows(n))
+                for coef, xa, xb, xc, e, yoff, kind in \
+                        _terms(family, vanish_one, nu, chart):
+                    xe = xa * a + xb * b + xc
+                    ye = b + yoff
+                    if not shifted:
+                        # xbar^xe (xbar - 1)^e, one monomial per piece,
+                        # with factor C(0, 0)
+                        for c, x in (((coef, xe),) if e == 0 else
+                                     ((coef, xe + 1), (-coef, xe))):
+                            keep = _window_mask(kind, x, ye, n)
+                            seen |= keep
+                            fill(_row_ids(x[keep], ye[keep], kind, *where),
+                                 ids[keep], coefs.index(c) * nspan * kspan)
+                        continue
+                    # (xbar+1)^xe xbar^e -> sum_k C(xe, k-e) xbar^k, one
+                    # run of k >= klo per column
+                    if xe.max(initial=0) >= nspan:
+                        raise PlumbingError("binomial row beyond the key span")
+                    xlo, ylo = _lows(kind)
+                    klo = max(e, xlo)
+                    runs = np.maximum(np.minimum(xe + e, n - 1) - klo + 1, 0)
+                    runs *= (ye >= ylo) & (ye < n)
+                    seen |= runs > 0
+                    r = _ragged_arange(runs)
+                    key = (coefs.index(coef) * nspan + xe) * kspan + klo - e
+                    fill(_row_ids(klo + r, ye.repeat(runs), kind, *where),
+                         ids.repeat(runs), key.repeat(runs) + r)
+    if end != nnz or col0 != used.size:
+        raise PlumbingError("fewer entries or columns than counted")
+    # candidate column -> matrix column: its place among the used ones
+    (np.cumsum(used, dtype=np.int32) - 1).take(col, out=col, mode="clip")
     used_keys = np.zeros(len(coefs) * nspan * kspan, dtype=bool)
     used_keys[code] = True
     # keys -> codes in place, numbered like the columns; every key is in
@@ -343,9 +294,11 @@ def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
     (np.cumsum(used_keys, dtype=np.int32) - 1).take(code, out=code,
                                                     mode="clip")
     c, nk = np.divmod(np.flatnonzero(used_keys), nspan * kspan)
+    bn, bk = np.divmod(nk, kspan)
     values = np.array(coefs, dtype=object)[c] * \
-        _binomials(nspan - 1, kspan - 1)[np.divmod(nk, kspan)]
-    return SparseIntMatrix(model.row_count, ncols, row, col, code, values)
+        _binomials(bn.max(initial=0), bk.max(initial=0))[bn, bk]
+    return SparseIntMatrix(model.row_count, int(np.count_nonzero(used)),
+                           row, col, code, values)
 
 
 def _ramp_sum(k: int, p: int, q: int, b0: int, b1: int) -> int:
@@ -367,10 +320,11 @@ def _ramp_sum(k: int, p: int, q: int, b0: int, b1: int) -> int:
 
 def estimate_assembly(model: PlumbingModel) -> dict:
     """Exact candidate column and entry counts in closed form, and a
-    memory estimate of 96 bytes per entry.  The count is the sum of the
-    run lengths `_entry_runs` yields (no additive cancellation occurs,
-    so it is the assembled nnz), from the same grids, terms and window
-    bounds: for fixed b, xe runs over [lo(b), hi(b)], both linear in b,
+    memory estimate of 96 bytes per entry.  It counts what the walk of
+    `assemble_matrix` writes, in the same loops over the same grids,
+    terms and window bounds (no additive cancellation occurs, so it is
+    the assembled nnz; the walk sizes its arrays by it and checks it):
+    for fixed b, xe runs over [lo(b), hi(b)], both linear in b,
     so a piece has P(hi) - P(lo - 1) entries, P(t) those at x <= t."""
     n = model.j
     cols = nnz = 0

@@ -412,9 +412,28 @@ def test_main_malformed_graph_file_errors(tmp_path, capsys):
 
 
 def test_main_bad_primes_argument_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--preset", "D4", "--primes", "2,x"])
-    assert exc.value.code == 2
+    """A usage error exits 1, as documented; 2 means input refused."""
+    code, out, err = _run(capsys, ["analyze", "--preset", "D4",
+                                   "--primes", "2,x"])
+    assert (code, out) == (1, "")
+    assert "bad prime list '2,x'" in err
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["analyze", "--preset", "D4", "--j", "abc"], "invalid int value"),
+    (["analyze"], "one of the arguments --graph --preset is required"),
+])
+def test_main_usage_errors_exit_1(capsys, argv, why):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert why in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_main_help_exits_0(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: tautcheck")
 
 
 def test_main_non_prime_candidate_errors_at_once(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -337,10 +338,24 @@ def test_preset_names_flexible():
         assert g.n == 4 and cyc == (3, 3, 5, 3)
 
 
+def test_preset_sizes_read_as_numbers():
+    """A leading zero names the same preset on every letter, as it does
+    for the chains (A01 is A1)."""
+    for alias, name in [("D04", "D4"), ("d_04", "D4"), ("E07", "E7"),
+                        ("A01", "A1")]:
+        (g, cyc), (want, want_cyc) = preset_graph(alias), preset_graph(name)
+        assert (g.ids, g.genus, g.selfint, g.edges, cyc) == \
+            (want.ids, want.genus, want.selfint, want.edges, want_cyc)
+
+
 def test_preset_unknown():
-    for bad in ["F4", "D3", "E5", "A0", "Q"]:
-        with pytest.raises(GraphError):
+    for bad in ["F4", "D3", "E5", "D8", "D008", "E09", "Q"]:
+        with pytest.raises(GraphError, match=re.escape(
+                f"unknown preset {bad!r} (available: A<n>, D4, D5, D6, "
+                f"D7, E6, E7, E8)")):
             preset_graph(bad)
+    with pytest.raises(GraphError, match="chain length must be >= 1"):
+        preset_graph("A0")
 
 
 def test_preset_cycles_pair_strictly_negative():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tautcheck.plumbing as plumbing
 from tautcheck.cli import DEFAULT_PRIMES, analyze
 from tautcheck.cycles import (anti_ample_cycle, choose_j, make_coprime_to_all,
                               significant_multiplicity_to_all)
@@ -21,7 +22,6 @@ from tautcheck.graph import admissibility_violations, parse_graph, preset_graph
 from tautcheck.linalg import next_prime, prove_rank_over_Q, rank_mod_p
 from tautcheck.plumbing import (
     PlumbingError,
-    _candidate_columns,
     _point_rows,
     _row_ids,
     _window_mask,
@@ -334,11 +334,26 @@ def _wide_tree_models(draw):
 @given(st.one_of(_small_tree_models(), _wide_tree_models()))
 def test_estimate_and_assembly_agree_on_random_trees(model):
     """The closed-form count equals the assembled entries, and the
-    candidate columns the assembly walks and the oracle lists."""
+    candidate columns the oracle lists; the assembly walk checks its own
+    columns and entries against the count."""
     est = estimate_assembly(model)
     assert est["nnz"] == assemble_matrix(model).nnz
-    assert est["candidate_columns"] == len(catalog(model)) == \
-        sum(batch.a.size for batch in _candidate_columns(model))
+    assert est["candidate_columns"] == len(catalog(model))
+
+
+@pytest.mark.parametrize("field", ["nnz", "candidate_columns"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_assembly_refuses_a_count_it_does_not_fill(monkeypatch, field,
+                                                   delta):
+    """The walk writes into arrays sized by `estimate_assembly` and
+    raises, under `python -O` too, when its entries or columns overrun
+    or fall short of the count."""
+    model = build_model(preset_graph("D4")[0], 11, [2, 3, 5, 7])
+    est = estimate_assembly(model)
+    monkeypatch.setattr(plumbing, "estimate_assembly",
+                        lambda m: {**est, field: est[field] + delta})
+    with pytest.raises(PlumbingError, match="than"):
+        assemble_matrix(model)
 
 
 def _automatic_j(name):
