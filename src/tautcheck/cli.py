@@ -13,6 +13,7 @@ primes, no timestamps, canonical key order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,8 +25,7 @@ from .cycles import (anti_ample_cycle, choose_j, fundamental_cycle,
 from .graph import (DualGraph, admissibility_violations, parse_graph,
                     preset_graph)
 from .linalg import LinalgError, is_int, prove_rank_over_Q
-from .plumbing import (PlumbingError, assemble_matrix, build_model,
-                       estimate_assembly)
+from .plumbing import assemble_matrix, build_model, estimate_assembly
 from .sparse import write_matrix_text
 
 DEFAULT_PRIMES = (2, 3, 5, 7)
@@ -71,7 +71,7 @@ def _characteristic_result(r_rows: int, rank: int) -> dict:
 
 
 def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
-            primes=DEFAULT_PRIMES, mode: str = "paper", j: int | None = None,
+            primes=DEFAULT_PRIMES, j: int | None = None,
             mem_cap: int | None = None,
             export_path: str | None = None) -> dict:
     """Run the full tautness analysis; returns the report dict.
@@ -79,6 +79,7 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     Exactly one of `graph` (a DualGraph) and `preset` (a name) must be
     given.  An input whose estimated assembly footprint exceeds `mem_cap`
     bytes (by default the physical memory) is refused before assembly.
+    A `j` the model cannot use raises PlumbingError.
     """
     if (graph is None) == (preset is None):
         raise ValueError("pass exactly one of graph= or preset=")
@@ -130,7 +131,7 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         adjusted = used != z0
 
     # stage: twist plan
-    plan = significant_multiplicity_to_all(g, used, primes, mode)
+    plan = significant_multiplicity_to_all(g, used, primes)
     j_auto = choose_j(plan.nu, max(used), primes)
     j_used = j_auto if j is None else int(j)
     notes: list[str] = []
@@ -139,10 +140,7 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
                      f"{j_auto}")
 
     # stage: plumbing model
-    try:
-        model = build_model(g, j_used, primes)
-    except PlumbingError as exc:
-        return _refusal(base, "model", [str(exc)])
+    model = build_model(g, j_used, primes)
 
     est = estimate_assembly(model)
     if mem_cap is None:
@@ -188,7 +186,7 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         "lambda_bound": plan.lambda_bound,
         "tau": plan.tau,
         "nu": plan.nu,
-        "mode": plan.mode,
+        "mode": "paper",
         "j": j_used,
         "beta_sequence": list(plan.beta_sequence),
     }
@@ -278,6 +276,7 @@ def _parse_primes(text: str) -> list[int]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tautcheck",
@@ -293,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--primes", type=_parse_primes, default=list(DEFAULT_PRIMES),
                     metavar="LIST", help="candidate characteristics "
                     "(comma separated, default 2,3,5,7)")
-    an.add_argument("--mode", choices=("paper", "strict"), default="paper",
-                    help="multiplicity selection mode (default paper)")
     an.add_argument("--j", type=int, default=None, metavar="N",
                     help="override the automatic twist prime j")
     an.add_argument("--export-matrix", metavar="PATH", default=None,
@@ -319,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.graph) as f:
                 graph = parse_graph(f.read())
         report = analyze(graph=graph, preset=args.preset,
-                         primes=args.primes, mode=args.mode, j=args.j,
+                         primes=args.primes, j=args.j,
                          mem_cap=args.mem_cap,
                          export_path=args.export_matrix)
         text = render_structured(report) if args.format == "structured" \

@@ -214,35 +214,24 @@ class MultiplicityPlan:
     tau: int
     beta_sequence: list[int] = field(repr=False)
     nu: int = 0
-    mode: str = "paper"
 
 
 def significant_multiplicity_to_all(g: DualGraph, zbar: tuple[int, ...],
                                     primes: list[int],
                                     mode: str = "paper") -> MultiplicityPlan:
-    """Choose the uniform multiplicity nu for the anti-ample cycle `zbar`.
+    """Choose the uniform multiplicity nu for the anti-ample cycle `zbar`:
+    nu = max(lambda + tau + 1, 2), with no coprimality condition.
 
-    In ``paper`` mode nu = max(lambda + tau + 1, 2) with no coprimality
-    condition.  In ``strict`` mode nu is the smallest value >= lambda +
-    tau + 1 coprime to every prime in `primes` at once (taking the max of
-    per-prime answers would be wrong), additionally >= 2 when some
-    coefficient of `zbar` is 1.  Every entry of `primes` must be a
-    prime below 2^31.
+    `mode` must be ``"paper"``, the one rule; every entry of `primes` must
+    be a prime below 2^31.  Neither changes nu.
     """
-    if mode not in ("paper", "strict"):
+    if mode != "paper":
         raise CyclesError(f"unknown mode {mode!r}")
     _check_primes(primes)
     lam = vanishing_floor(g)
     tau, beta = greedy_tau(g, zbar)
-    nu = lam + tau + 1
-    if mode == "paper":
-        nu = max(nu, 2)
-    else:
-        if any(c == 1 for c in zbar):
-            nu = max(nu, 2)
-        nu = _next_coprime(nu, math.prod(set(primes)))
     return MultiplicityPlan(lambda_bound=lam, tau=tau, beta_sequence=beta,
-                            nu=nu, mode=mode)
+                            nu=max(lam + tau + 1, 2))
 
 
 def choose_j(nu: int, n_max: int, primes: list[int]) -> int:

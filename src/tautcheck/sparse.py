@@ -128,6 +128,8 @@ class SparseIntMatrix:
     def arrays_mod(self, p: int):
         """(rows, cols, values mod p): int32 arrays in entry order, zero
         residues dropped.  Each distinct value is reduced once."""
+        if not is_int(p):
+            raise SparseMatrixError(f"modulus {p!r} is not an integer")
         if not 1 < p < 1 << 31:
             raise SparseMatrixError(f"modulus {p} is not in [2, 2^31)")
         vals = (self.values % p).astype(np.int32).take(self.code)

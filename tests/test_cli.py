@@ -24,7 +24,6 @@ import tautcheck.cli as cli
 import tautcheck.linalg as linalg
 from tautcheck import __version__
 from tautcheck.cli import analyze, main, render_text
-from tautcheck.cycles import CyclesError
 from tautcheck.graph import DualGraph, parse_graph, preset_graph
 from tautcheck.linalg import LinalgError, rank_mod_p, sample_rank_primes
 from tautcheck.plumbing import PlumbingError, assemble_matrix, build_model
@@ -143,22 +142,6 @@ def test_chains_are_taut_over_Q(g):
     assume(r["status"] != "refused" or r["stage"] != "assembly")
     assert r["status"] == "ok", r
     assert r["results"]["q"]["h1"] == 0 and r["certified"]
-
-
-def test_analyze_strict_mode_plan():
-    r = analyze(preset="D4", primes=[2, 3], mode="strict")
-    assert r["status"] == "ok"
-    plan = r["plan"]
-    assert plan["mode"] == "strict"
-    assert plan["nu"] == 5          # smallest multiplier >= 2 coprime to 6
-    assert plan["j"] == 29          # next prime after nu * max coefficient
-    assert set(r["results"]) == {"q", "p2", "p3"}
-
-
-def test_analyze_unknown_mode_rejected():
-    # it used to run as strict and report status "ok"
-    with pytest.raises(CyclesError):
-        analyze(preset="D4", mode="fast")
 
 
 def test_analyze_j_override_notes_and_rows():
@@ -409,6 +392,27 @@ def test_main_malformed_graph_file_errors(tmp_path, capsys):
     code, _, err = _run(capsys, ["analyze", "--graph", str(path)])
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_analyze_unknown_mode_rejected(capsys):
+    """There is one multiplicity rule and no `--mode` option: strict
+    mode, once a second rule, is a usage error."""
+    code, out, _ = _run(capsys, ["analyze", "--preset", "D4",
+                                 "--mode", "strict"])
+    assert (code, out) == (1, "")
+
+
+@pytest.mark.parametrize("j, message", [("4", "must be prime"),
+                                        ("7", "pick j outside"),
+                                        ("0", "must be prime")])
+def test_main_bad_j_is_a_usage_error(capsys, j, message):
+    """A j the model cannot use exits 1 like any bad argument; it was
+    once reported as a refusal (exit 2)."""
+    code, out, err = _run(capsys, ["analyze", "--preset", "D4", "--j", j])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
+    with pytest.raises(PlumbingError, match=message):
+        analyze(preset="D4", j=int(j))
 
 
 def test_main_bad_primes_argument_rejected(capsys):

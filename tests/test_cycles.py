@@ -280,8 +280,8 @@ def test_cycle_arguments_follow_the_integer_rule():
     assert greedy_tau(g, z) == greedy_tau(g, (3, 3, 5, 3))
     assert make_coprime_to_all(g, z, [3]) == \
         make_coprime_to_all(g, (3, 3, 5, 3), [3]) != (3, 3, 5, 3)
-    assert significant_multiplicity_to_all(g, z, [3], "strict") == \
-        significant_multiplicity_to_all(g, (3, 3, 5, 3), [3], "strict")
+    assert significant_multiplicity_to_all(g, z, [3]) == \
+        significant_multiplicity_to_all(g, (3, 3, 5, 3), [3])
     a2, _ = preset_graph("A2")
     for call in (lambda: greedy_tau(a2, (True, True)),
                  lambda: make_coprime_to_all(a2, (True, True), [2]),
@@ -351,33 +351,18 @@ def test_nu_default_mode_star():
     plan = significant_multiplicity_to_all(g, cyc, [])
     assert isinstance(plan, MultiplicityPlan)
     assert (plan.lambda_bound, plan.tau, plan.nu) == (0, 1, 2)
-    assert plan.mode == "paper"
-
-
-def test_nu_strict_mode_avoids_the_prime():
-    g, cyc = preset_graph("D4")
-    plan = significant_multiplicity_to_all(g, cyc, [2], mode="strict")
-    assert plan.nu == 3
-    plan = significant_multiplicity_to_all(g, cyc, [3], mode="strict")
-    assert plan.nu == 2
-    plan = significant_multiplicity_to_all(g, cyc, [], mode="strict")
-    assert plan.nu == 2
 
 
 def test_nu_unit_coefficient_clause():
+    # lambda + tau + 1 is 1 here; the floor of 2 lifts it
     g, _ = preset_graph("A1")
-    plan = significant_multiplicity_to_all(g, (1,), [], mode="strict")
-    assert plan.nu == 2
-    # paper mode has the floor of 2 built in
     plan = significant_multiplicity_to_all(g, (1,), [], mode="paper")
     assert plan.nu == 2
 
 
 def test_nu_strict_against_prime_set():
-    # lower bound 2; smallest integer >= 2 coprime to both 2 and 3 is 5
+    # nu is not made coprime to the candidates: 2 stays 2 against {2, 3}
     g, _ = preset_graph("A2")
-    plan = significant_multiplicity_to_all(g, (1, 1), [2, 3], mode="strict")
-    assert plan.nu == 5
     plan = significant_multiplicity_to_all(g, (1, 1), [2, 3], mode="paper")
     assert plan.nu == 2
 
@@ -389,16 +374,17 @@ def test_nu_rejects_unknown_mode():
     # it used to run as strict when given a set of primes
     with pytest.raises(CyclesError):
         significant_multiplicity_to_all(g, cyc, [2, 3], mode="fast")
+    # strict mode, a second rule for nu, was deleted
+    with pytest.raises(CyclesError, match="unknown mode 'strict'"):
+        significant_multiplicity_to_all(g, cyc, [2, 3], mode="strict")
 
 
 def test_nu_rejects_primes_below_one():
-    # in strict mode a 0 made the coprimality search loop forever, and
-    # the composite 4 gave nu = 3 for D4
+    # nu does not depend on the candidates, but they are still checked
     g, cyc = preset_graph("D4")
     for primes in ([0], [2, -3], [1], [4], [2, 1 << 31]):
-        for mode in ("strict", "paper"):
-            with pytest.raises(CyclesError):
-                significant_multiplicity_to_all(g, cyc, primes, mode=mode)
+        with pytest.raises(CyclesError):
+            significant_multiplicity_to_all(g, cyc, primes, mode="paper")
 
 
 # ---------------------------------------------------------------------------

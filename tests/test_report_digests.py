@@ -43,9 +43,6 @@ def _cases() -> dict[str, list[str]]:
                                       "--format", fmt]
     cases["E7 structured"] = ["analyze", "--preset", "E7",
                               "--format", "structured"]
-    for name in ("D4", "D5"):
-        cases[f"{name} strict"] = ["analyze", "--preset", name,
-                                   "--mode", "strict"]
     cases["valence-4 graph"] = ["analyze", "--graph", "{valence4}"]
     cases["unknown preset D8"] = ["analyze", "--preset", "D8"]
     cases["unknown preset E5"] = ["analyze", "--preset", "E5"]

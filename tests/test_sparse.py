@@ -3,6 +3,7 @@ it is written in."""
 
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -301,6 +302,19 @@ def test_arrays_mod_rejects_modulus_outside_int32(p):
     m = SparseIntMatrix.from_coo(1, 1, [(0, 0, 5)])
     with pytest.raises(SparseMatrixError, match=f"modulus {p} is not in"):
         m.arrays_mod(p)
+
+
+def test_arrays_mod_applies_the_integer_rule():
+    """A modulus that is not an integer is refused; 3.5 once dropped the
+    entry 7 (7 % 3.5 == 0) and 5.0 once ran on float residues."""
+    m = SparseIntMatrix.from_coo(2, 2, [(0, 0, 7), (1, 1, 10)])
+    for bad in (3.5, 5.0, True):
+        with pytest.raises(SparseMatrixError,
+                           match=re.escape(f"modulus {bad!r} is not an "
+                                           f"integer")):
+            m.arrays_mod(bad)
+    got = m.arrays_mod(np.int64(5))
+    assert [a.tolist() for a in got] == [[0], [0], [2]]
 
 
 def test_arrays_mod_drops_zero_residues():
