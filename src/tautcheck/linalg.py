@@ -1,11 +1,16 @@
 """Exact rank computations for large sparse integer matrices.
 
-Strategy: reduce mod p, then
+Strategy, the structured Gaussian elimination of Dumas & Villard (CASC
+2002):
 
-1. *peel* rows/columns with a single nonzero entry (each is a pivot and
-   contributes exactly 1 to the rank — exact over a field);
-2. rank the remaining core by sparse elimination in one column order,
-   sparsest first, fixed up front (Dumas & Villard, CASC 2002).
+1. *peel* over ℤ, once per matrix: pivot on rows/columns with a single
+   entry when that entry is ±1, a unit mod every prime, and delete the
+   crossing line.  Each such pivot contributes exactly 1 to the rank at
+   every prime alike;
+2. per prime, reduce only what that peel left mod p, drop the zero
+   residues, and peel again, now on any singleton;
+3. rank the remaining core by sparse elimination in one column order,
+   sparsest first, fixed up front.
 
 The rational rank is bounded by modular ranks: the rank mod any prime
 never exceeds the rank over the rationals, which never exceeds
@@ -112,30 +117,93 @@ def _draw_rank_primes(trials: int) -> tuple[int, ...]:
 # rank mod p
 
 
-def _peel_mod_p(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
-                vals: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Repeatedly pivot on rows/columns with a single nonzero entry.
+# bulk peel rounds go on while a round on each side deletes at least this
+# share of the entries left; frontier rounds finish the peel
+_BULK_SHARE = 1 / 8
 
-    Returns (rank gained, remaining rows, cols, vals).  Exact over GF(p):
-    a singleton row's column (and dually) can be eliminated wholesale.
+
+def _members(index: tuple[np.ndarray, np.ndarray],
+             lines: np.ndarray) -> np.ndarray:
+    """Positions of every entry that `index` (ptr, order) lists under
+    `lines`."""
+    ptr, order = index
+    start = ptr[lines]
+    size = ptr[lines + 1] - start
+    # each line's run, shifted from its place in the concatenation
+    shift = np.repeat(start - (np.cumsum(size) - size), size)
+    return order[shift + np.arange(shift.size)]
+
+
+def _peel(shape: tuple[int, int], ends: list[np.ndarray],
+          pivot: np.ndarray | None) -> tuple[int, np.ndarray]:
+    """Pivot on rows and columns holding exactly one entry, deleting the
+    crossing line each time, until none is left.  Only entries where
+    `pivot` is set may be pivots (every entry when it is None).  Each
+    pivot adds 1 to the rank over any field where its entry is a unit:
+    eliminating with it changes no other line.
+
+    Returns (rank gained, mask of the entries left).  The entry arrays
+    are read where they are, never compacted; an alive mask and the
+    live count of every line follow the deletions.
+
+    Bulk rounds come first, on rows and columns in turn: each scans
+    every entry and pivots on every singleton line.  Once a round on
+    each side deletes less than `_BULK_SHARE` of the entries left,
+    frontier rounds finish: they index the live entries by row and by
+    column once, and look only at the lines whose count has just fallen
+    to 1.  A round on one side deletes lines of the other, so only its
+    own side's counts fall: each side keeps its own frontier.
     """
-    rank, side, idle = 0, 0, 0
-    ends, shape = [rows, cols], (nrows, ncols)
-    # rows, then columns, in turn; stop after two passes that peel nothing
-    while vals.size and idle < 2:
+    alive = np.ones(ends[0].size, dtype=bool)
+    count = [np.bincount(e, minlength=n).astype(np.int32)
+             for e, n in zip(ends, shape)]
+    rank, side = 0, 0
+    left = before = alive.size
+    while left:
         line, cross = ends[side], ends[1 - side]
-        # lines with exactly one entry: pivot there, delete the crossing lines
-        single = (np.bincount(line, minlength=shape[side]) == 1)[line]
+        single = (count[side] == 1)[line]
+        single &= alive if pivot is None else alive & pivot
         gone = np.zeros(shape[1 - side], dtype=bool)
         gone[cross[single]] = True
-        peeled = int(np.count_nonzero(gone))
-        if peeled:
-            keep = ~gone[cross]
-            ends, vals = [e[keep] for e in ends], vals[keep]
-        rank += peeled
-        idle = 0 if peeled else idle + 1
+        dead = gone[cross]
+        dead &= alive
+        alive ^= dead
+        count[side] -= np.bincount(line[dead], minlength=shape[side])
+        count[1 - side][gone] = 0
+        rank += int(np.count_nonzero(gone))
+        left -= int(np.count_nonzero(dead))
         side = 1 - side
-    return rank, ends[0], ends[1], vals
+        if side == 0:           # after a round on each side
+            if before - left < _BULK_SHARE * before:
+                break
+            before = left
+    if left in (0, before):     # nothing left, or nothing left to pivot on
+        return rank, alive
+    front = [np.flatnonzero(c == 1) for c in count]
+    # (ptr, order) per side: the live entries of line k sit at positions
+    # order[ptr[k]:ptr[k + 1]].  The columns' order is sorted from the
+    # rows', so no third list of positions is held while sorting
+    index, order = [], np.flatnonzero(alive).astype(np.int32)
+    for e, c in zip(ends, count):
+        order = order[np.argsort(e[order])]
+        index.append((np.concatenate(([0], np.cumsum(c))), order))
+    while front[0].size or front[1].size:
+        lines = front[side][count[side][front[side]] == 1]
+        sole = _members(index[side], lines)
+        sole = sole[alive[sole]]
+        if pivot is not None:
+            sole = sole[pivot[sole]]
+        gone = np.unique(ends[1 - side][sole])
+        rank += gone.size
+        dead = _members(index[1 - side], gone)
+        dead = dead[alive[dead]]
+        alive[dead] = False
+        count[1 - side][gone] = 0
+        hit, lost = np.unique(ends[side][dead], return_counts=True)
+        count[side][hit] -= lost
+        front[side] = hit[count[side][hit] == 1]
+        side = 1 - side
+    return rank, alive
 
 
 def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
@@ -178,25 +246,65 @@ def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
     return rank
 
 
+class _Residual(NamedTuple):
+    """What the peel over ℤ leaves of `matrix`: the rank its pivots give
+    and the mask of the entries left."""
+
+    matrix: object
+    rank: int
+    left: np.ndarray
+
+
+def _peel_over_Z(matrix) -> _Residual:
+    """Peel pivoting only on entries ±1: a unit mod every prime, so each
+    pivot counts at every prime alike, and each prime has only the
+    residual left to rank."""
+    unit = np.array([abs(v) == 1 for v in matrix.values.tolist()],
+                    dtype=bool)
+    rank, left = _peel((matrix.nrows, matrix.ncols),
+                       [matrix.row, matrix.col], unit[matrix.code])
+    return _Residual(matrix, rank, left)
+
+
+def _core_mod_p(residual: _Residual, p: int):
+    """(rank, rows, cols, vals): the residual mod p with its zero
+    residues dropped, peeled; the rank of both peels, and the core they
+    leave.  Each distinct value is reduced once."""
+    m, left = residual.matrix, residual.left
+    vals = (m.values % p).astype(np.int32).take(m.code[left])
+    nonzero = vals != 0
+    keep = left.copy()
+    keep[left] = nonzero
+    rows, cols, vals = m.row[keep], m.col[keep], vals[nonzero]
+    rank, left = _peel((m.nrows, m.ncols), [rows, cols], None)
+    return residual.rank + rank, rows[left], cols[left], vals[left]
+
+
+def _rank_residual_mod_p(residual: _Residual, p: int) -> int:
+    """Rank over GF(p) of the matrix that `residual` was peeled from."""
+    if not is_valid_modulus(p):
+        raise LinalgError(f"modulus {p} is not a prime below 2^31")
+    p = int(p)
+    rank, rows, cols, vals = _core_mod_p(residual, p)
+    return rank + _sparse_core_rank_mod_p(rows, cols, vals, p)
+
+
 def rank_mod_p(matrix, p: int) -> int:
-    """Exact rank of an integer matrix over GF(p): reduce mod p, peel the
-    singleton rows and columns, then rank the core by elimination in one
-    fixed column order, sparsest columns first.
+    """Exact rank of an integer matrix over GF(p): peel over ℤ on the
+    singleton rows and columns whose entry is ±1, reduce what is left
+    mod p, peel it again on every singleton, then rank the core by
+    elimination in one fixed column order, sparsest columns first.
 
     Parameters
     ----------
     matrix : SparseIntMatrix-like
-        Needs `nrows`, `ncols` and `arrays_mod(p) -> (rows, cols, vals)`
-        with zero residues dropped.
+        Needs `nrows`, `ncols`, the int32 entry arrays `row`, `col` and
+        `code`, and the table `values` of exact ints that `code` points
+        into.
     p : int
         A prime below 2^31.
     """
-    if not is_valid_modulus(p):
-        raise LinalgError(f"modulus {p} is not a prime below 2^31")
-    rows, cols, vals = matrix.arrays_mod(p)
-    rank, rows, cols, vals = _peel_mod_p(matrix.nrows, matrix.ncols,
-                                         rows, cols, vals)
-    return rank + _sparse_core_rank_mod_p(rows, cols, vals, p)
+    return _rank_residual_mod_p(_peel_over_Z(matrix), p)
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +330,20 @@ def prove_rank_over_Q(matrix, candidates) -> RationalRank:
     rank is the certificate.  Otherwise the seeded 31-bit primes are
     ranked one at a time, stopping at the first that reaches full rank.
     If none does, `rank_q` is an unproved lower bound: it is exact unless
-    every ranked prime divides the same invariant factor.
+    every ranked prime divides the same invariant factor.  The matrix is
+    peeled over ℤ once; each prime ranks only what that peel left.
     """
     full = min(matrix.nrows, matrix.ncols)
-    ranks = {p: rank_mod_p(matrix, p) for p in sorted(set(candidates))}
+    residual = _peel_over_Z(matrix)
+    ranks = {p: _rank_residual_mod_p(residual, p)
+             for p in sorted(set(candidates))}
     sampled = sample_rank_primes(_SAMPLED_PRIMES)
     proof = min((p for p, r in ranks.items() if r == full), default=None)
     for q in sampled:
         if proof is not None:
             break
         if q not in ranks:
-            ranks[q] = rank_mod_p(matrix, q)
+            ranks[q] = _rank_residual_mod_p(residual, q)
         if ranks[q] == full:
             proof = q
     return RationalRank(ranks, max(ranks.values(), default=0), proof, sampled)

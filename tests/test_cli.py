@@ -198,14 +198,15 @@ def test_analyze_certified_small_model():
         assert res["h1"] == 0
 
 
-def _count_rank_calls(monkeypatch, rank=rank_mod_p):
-    """Route every modular rank through `rank`, recording the primes."""
+def _count_rank_calls(monkeypatch, rank=linalg._rank_residual_mod_p):
+    """Route every modular rank of `prove_rank_over_Q` (each prime ranks
+    what the peel over ℤ left) through `rank`, recording the primes."""
     calls = []
 
-    def counted(matrix, p):
+    def counted(residual, p):
         calls.append(p)
-        return rank(matrix, p)
-    monkeypatch.setattr(linalg, "rank_mod_p", counted)
+        return rank(residual, p)
+    monkeypatch.setattr(linalg, "_rank_residual_mod_p", counted)
     return calls
 
 
@@ -219,7 +220,7 @@ def test_analyze_ranks_only_candidates_when_one_proves(monkeypatch):
 
 def test_analyze_unproved_rank_is_reported_as_lower_bound(monkeypatch):
     calls = _count_rank_calls(
-        monkeypatch, lambda m, p: min(m.nrows, m.ncols) - 1)
+        monkeypatch, lambda z, p: min(z.matrix.nrows, z.matrix.ncols) - 1)
     r = analyze(preset="D4")
     assert sorted(calls[:4]) == [2, 3, 5, 7]
     assert calls[4:] == sample_rank_primes(3)
@@ -230,7 +231,8 @@ def test_analyze_unproved_rank_is_reported_as_lower_bound(monkeypatch):
 
 
 def test_analyze_impossible_rank_fails_internal_check(monkeypatch):
-    monkeypatch.setattr(linalg, "rank_mod_p", lambda m, p: m.nrows + 1)
+    monkeypatch.setattr(linalg, "_rank_residual_mod_p",
+                        lambda z, p: z.matrix.nrows + 1)
     with pytest.raises(LinalgError, match="internal check failed"):
         analyze(preset="D4")
     assert main(["analyze", "--preset", "D4"]) == 1

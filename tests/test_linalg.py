@@ -5,6 +5,7 @@ Oracles here are written independently of the library: plain Gaussian
 elimination over GF(p) and Fraction elimination over the rationals.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from tautcheck.linalg import (
     rank_mod_p,
     sample_rank_primes,
 )
-from tautcheck.plumbing import build_model
+from tautcheck.plumbing import assemble_matrix, build_model
 from tautcheck.sparse import SparseIntMatrix
 
 
@@ -254,6 +255,64 @@ def test_rank_peeled_cascade():
         assert rank_mod_p(m, p) == n
 
 
+def test_peel_over_Z_pivots_only_on_units():
+    """A singleton line pivots over ℤ only when its entry is ±1, a unit
+    mod every prime.  A singleton row holding 2, 3 or 210 stays in the
+    residual, and the primes dividing its entry rank it lower."""
+    for v in (1, -1):
+        z = linalg._peel_over_Z(from_dense([[v, 5], [0, 2]]))
+        assert (z.rank, z.left.tolist()) == (1, [False, False, True])
+    for v in (2, 3, 210, -210):
+        # column 1 is a unit singleton; row 0 is left holding v alone
+        dense = [[v, 0], [7, 1]]
+        z = linalg._peel_over_Z(from_dense(dense))
+        assert (z.rank, int(np.count_nonzero(z.left))) == (1, 1)
+        for p in (2, 3, 5, 7):
+            want = 1 if v % p == 0 else 2
+            assert rank_mod_p(from_dense(dense), p) == want == \
+                oracle_rank_mod_p(dense, p)
+    for v in (2, 3, 210):
+        assert linalg._peel_over_Z(from_dense([[v]])).rank == 0
+        for p in (2, 3, 5, 7, 11):
+            assert rank_mod_p(from_dense([[v]]), p) == (v % p != 0)
+
+
+# entries of the property below: units, small non-units and a binomial
+# beyond int64, each with both signs, and zero most often
+_PIVOT_RULE_VALUES = [v for a in (1, 2, 3, 6, 210, math.comb(80, 40))
+                      for v in (a, -a)]
+_sparse_integer_dense = st.integers(1, 10).flatmap(
+    lambda m: st.integers(1, 10).flatmap(
+        lambda n: st.lists(
+            st.lists(st.one_of(st.just(0), st.just(0),
+                               st.sampled_from(_PIVOT_RULE_VALUES)),
+                     min_size=n, max_size=n),
+            min_size=m, max_size=m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_integer_dense)
+def test_rank_mod_p_pivot_rule_matches_oracle(dense):
+    """Whatever the ℤ peel pivots on must be a unit at every prime: the
+    rank at 2, 3, 5, 7 and 2^31 - 1 agrees with textbook elimination."""
+    m = from_dense(dense)
+    for p in (2, 3, 5, 7, 2**31 - 1):
+        assert rank_mod_p(m, p) == oracle_rank_mod_p(dense, p)
+
+
+def test_e7_peel_facts():
+    """The peels on E7 reach as far as they should.  A peel that stops
+    early still gives the right ranks, only slower, so its sizes are
+    pinned: the rank and the entries the peel over ℤ leaves, and the
+    core that each prime's peel leaves of that residual."""
+    m = assemble_matrix(build_model(preset_graph("E7")[0], 103,
+                                    [2, 3, 5, 7]))
+    z = linalg._peel_over_Z(m)
+    assert (z.rank, int(np.count_nonzero(z.left))) == (117_858, 450_206)
+    core = {p: linalg._core_mod_p(z, p)[1].size for p in (2, 3, 5, 7)}
+    assert core == {2: 0, 3: 21_781, 5: 138_740, 7: 111_832}
+
+
 # ---------------------------------------------------------------------------
 # rank over Q
 
@@ -315,15 +374,22 @@ def test_prove_rank_stops_at_first_full_rank_candidate():
 def test_prove_rank_falls_back_to_one_seeded_prime(monkeypatch):
     calls = []
 
-    def counted(matrix, p):
+    def counted(residual, p, rank=linalg._rank_residual_mod_p):
         calls.append(p)
-        return rank_mod_p(matrix, p)
-    monkeypatch.setattr(linalg, "rank_mod_p", counted)
+        return rank(residual, p)
+    monkeypatch.setattr(linalg, "_rank_residual_mod_p", counted)
     q0 = sample_rank_primes(3)[0]
     proof = prove_rank_over_Q(from_dense([[210]]), [2, 3, 5, 7])
     assert sorted(calls) == [2, 3, 5, 7, q0]
     assert proof.ranks == {2: 0, 3: 0, 5: 0, 7: 0, q0: 1}
     assert (proof.rank_q, proof.certificate_prime) == (1, q0)
+
+
+def test_prove_rank_validates_every_prime():
+    m = from_dense([[1, 2], [3, 4]])
+    for bad in (4, 2**31 + 11, 7.0, True):
+        with pytest.raises(LinalgError):
+            prove_rank_over_Q(m, [2, bad])
 
 
 def test_modular_rank_survey_reports_primes():
