@@ -186,7 +186,6 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         "lambda_bound": plan.lambda_bound,
         "tau": plan.tau,
         "nu": plan.nu,
-        "mode": "paper",
         "j": j_used,
         "beta_sequence": list(plan.beta_sequence),
     }
@@ -232,7 +231,7 @@ def render_text(report: dict) -> str:
     lines.append(f"plan cycle:        {tuple(c['used'])}  [{tag}]")
     p = report["plan"]
     lines.append(f"plan: lambda={p['lambda_bound']} tau={p['tau']} "
-                 f"nu={p['nu']} j={p['j']} (mode {p['mode']})")
+                 f"nu={p['nu']} j={p['j']}")
     m = report["model"]
     lines.append(f"model: points={m['points']} rows={m['rows']} "
                  f"columns={m['columns']} nnz={m['nnz']} "

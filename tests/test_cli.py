@@ -63,7 +63,7 @@ def test_analyze_star_report_values():
     plan = r["plan"]
     assert (plan["lambda_bound"], plan["tau"], plan["nu"], plan["j"]) == \
         (0, 1, 2, 11)
-    assert plan["mode"] == "paper"
+    assert "mode" not in plan
     model = r["model"]
     assert (model["points"], model["rows"], model["columns"]) == (3, 660, 720)
     assert set(r["results"]) == {"q", "p2", "p3", "p5", "p7"}
