@@ -222,17 +222,18 @@ def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
     codes into the exact table of their values.
     """
     est = estimate_assembly(model)
-    n, nnz = model.j, est["nnz"]
+    n, nnz, cands = model.j, est["nnz"], est["candidate_columns"]
     # key of (coef, n, k): (coefs.index(coef) * nspan + n) * kspan + k;
     # n, k > 0 only at slot "1": k < j, n <= nu*(j - 1) + 2 (chart 0)
     coefs = sorted({c for nu in model.nu for c in (1, -1, nu, -nu)})
     nu1 = [nu for nu, s in zip(model.nu, model.slots) if SLOT1 in s.values()]
     nspan, kspan = (max(nu1) * (n - 1) + 3, n) if nu1 else (1, 1)
-    if max(len(coefs) * nspan * kspan, est["candidate_columns"]) >= 1 << 31:
-        raise PlumbingError("value keys or candidate columns overflow int32")
+    # the peel holds entry positions as int32 too
+    if max(len(coefs) * nspan * kspan, cands, nnz) >= 1 << 31:
+        raise PlumbingError("value keys, columns or entries overflow int32")
     row, col, code = (np.empty(nnz, dtype=np.int32) for _ in range(3))
     # used[c]: candidate column c holds an entry
-    used = np.zeros(est["candidate_columns"], dtype=bool)
+    used = np.zeros(cands, dtype=bool)
     end = col0 = 0
 
     def fill(rows, cols, keys):

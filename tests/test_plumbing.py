@@ -356,6 +356,32 @@ def test_assembly_refuses_a_count_it_does_not_fill(monkeypatch, field,
         assemble_matrix(model)
 
 
+
+@pytest.mark.parametrize("j, field", [(next_prime(1 << 15), None),
+                                      (11, "candidate_columns"),
+                                      (11, "nnz")],
+                         ids=["keys", "columns", "entries"])
+def test_assembly_refuses_int32_overflow_before_allocating(monkeypatch, j,
+                                                           field):
+    """Value keys, candidate columns and entries are int32 (the peel's
+    entry positions too), so a count of 2^31 or more is refused before
+    any array is allocated.  The count is D4's at j = 11; at j = 32,771
+    only the value keys overflow."""
+    est = estimate_assembly(build_model(preset_graph("D4")[0], 11,
+                                        [2, 3, 5, 7]))
+    if field is not None:
+        est[field] = 1 << 31
+    model = build_model(preset_graph("D4")[0], j, [2, 3, 5, 7])
+    monkeypatch.setattr(plumbing, "estimate_assembly", lambda m: est)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PlumbingError, match="overflow int32"):
+            assemble_matrix(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
 def _automatic_j(name):
     """The j `analyze` chooses for a preset."""
     g, cycle = preset_graph(name)
