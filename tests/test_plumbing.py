@@ -356,7 +356,6 @@ def test_assembly_refuses_a_count_it_does_not_fill(monkeypatch, field,
         assemble_matrix(model)
 
 
-
 @pytest.mark.parametrize("j, field", [(next_prime(1 << 15), None),
                                       (11, "candidate_columns"),
                                       (11, "nnz")],
@@ -367,11 +366,11 @@ def test_assembly_refuses_int32_overflow_before_allocating(monkeypatch, j,
     entry positions too), so a count of 2^31 or more is refused before
     any array is allocated.  The count is D4's at j = 11; at j = 32,771
     only the value keys overflow."""
-    est = estimate_assembly(build_model(preset_graph("D4")[0], 11,
-                                        [2, 3, 5, 7]))
+    g = preset_graph("D4")[0]
+    est = estimate_assembly(build_model(g, 11, [2, 3, 5, 7]))
     if field is not None:
         est[field] = 1 << 31
-    model = build_model(preset_graph("D4")[0], j, [2, 3, 5, 7])
+    model = build_model(g, j, [2, 3, 5, 7])
     monkeypatch.setattr(plumbing, "estimate_assembly", lambda m: est)
     tracemalloc.start()
     try:
@@ -381,6 +380,7 @@ def test_assembly_refuses_int32_overflow_before_allocating(monkeypatch, j,
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
 
 def _automatic_j(name):
     """The j `analyze` chooses for a preset."""
