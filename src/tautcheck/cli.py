@@ -23,7 +23,7 @@ from .cycles import (anti_ample_cycle, choose_j, fundamental_cycle,
                      is_anti_ample, make_coprime_to_all,
                      significant_multiplicity_to_all)
 from .graph import (DualGraph, admissibility_violations, parse_graph,
-                    preset_graph)
+                    preset_graph, preset_name)
 from .linalg import LinalgError, is_int, prove_rank_over_Q
 from .plumbing import assemble_matrix, build_model, estimate_assembly
 from .sparse import write_matrix_text
@@ -83,13 +83,8 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
     """
     if (graph is None) == (preset is None):
         raise ValueError("pass exactly one of graph= or preset=")
-    preset_cycle = None
-    label = None
-    if preset is not None:
-        g, preset_cycle = preset_graph(preset)
-        label = preset.strip().upper().replace("_", "")
-    else:
-        g = graph
+    label = None if preset is None else preset_name(preset)
+    g, preset_cycle = (graph, None) if label is None else preset_graph(label)
     primes = list(primes)
     for p in primes:                 # refused, not truncated by int()
         if not is_int(p):
@@ -109,7 +104,7 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
                    else "is not prime")
             raise ValueError(f"candidate characteristic {p} {why}")
     base = {"tool": "tautcheck", "version": __version__,
-            "graph": {"preset": label, "vertices": g.n,
+            "graph": {"preset": label,
                       "edges": len(g.edges), "ids": list(g.ids)}}
 
     # stage: combinatorial checks
@@ -174,8 +169,6 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
 
     report = dict(base)
     report["status"] = "ok"
-    report["checks"] = {"connected": True, "negative_definite": True,
-                        "potentially_taut": True}
     report["cycles"] = {
         "fundamental": list(fundamental),
         "used": list(used),
@@ -186,7 +179,6 @@ def analyze(graph: DualGraph | None = None, *, preset: str | None = None,
         "lambda_bound": plan.lambda_bound,
         "tau": plan.tau,
         "nu": plan.nu,
-        "j": j_used,
         "beta_sequence": list(plan.beta_sequence),
     }
     report["model"] = {
@@ -215,7 +207,7 @@ def render_text(report: dict) -> str:
     lines = [f"tautcheck {report['version']}"]
     g = report["graph"]
     src = f"preset {g['preset']}" if g.get("preset") else "graph"
-    nv, ne = g["vertices"], g["edges"]
+    nv, ne = len(g["ids"]), g["edges"]
     lines.append(f"input: {src} with {nv} "
                  f"{'vertex' if nv == 1 else 'vertices'}, "
                  f"{ne} {'edge' if ne == 1 else 'edges'}")
@@ -229,10 +221,9 @@ def render_text(report: dict) -> str:
     tag = c["source"] + (", coprimality-adjusted" if c["coprime_adjusted"]
                          else "")
     lines.append(f"plan cycle:        {tuple(c['used'])}  [{tag}]")
-    p = report["plan"]
+    p, m = report["plan"], report["model"]
     lines.append(f"plan: lambda={p['lambda_bound']} tau={p['tau']} "
-                 f"nu={p['nu']} j={p['j']}")
-    m = report["model"]
+                 f"nu={p['nu']} j={m['j']}")
     lines.append(f"model: points={m['points']} rows={m['rows']} "
                  f"columns={m['columns']} nnz={m['nnz']} "
                  f"density={m['density']:.6f} "
@@ -287,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--graph", metavar="FILE",
                      help="dual graph file (vertex/edge lines)")
     src.add_argument("--preset", metavar="NAME",
-                     help="built-in graph: A<n>, D4..D7, E6..E8")
+                     help="built-in graph: A<n>, D<n> (n >= 4), E6..E8")
     an.add_argument("--primes", type=_parse_primes, default=list(DEFAULT_PRIMES),
                     metavar="LIST", help="candidate characteristics "
                     "(comma separated, default 2,3,5,7)")

@@ -15,8 +15,9 @@ from .graph import (DualGraph, intersection_matrix, is_connected,
                     is_negative_definite)
 from .linalg import is_int, is_valid_modulus, next_prime
 
-# safety bound on the Laufer iterations; they terminate on negative-definite
-# graphs long before it
+# bound on the steps of Laufer's iteration (one bump each); it terminates
+# on every negative-definite graph, but A240 and D_N from D145 on need more
+# steps than this
 _MAX_STEPS = 1_000_000
 
 
@@ -68,8 +69,8 @@ def _least_cycle(g: DualGraph, limit: int, what: str) -> tuple[int, ...]:
                 break
         else:
             return tuple(z)
-    raise CyclesError(f"{what} iteration did not terminate "
-                      "(is the graph negative definite?)")
+    raise CyclesError(f"{what} iteration reached its bound of "
+                      f"{_MAX_STEPS} steps")
 
 
 def fundamental_cycle(g: DualGraph) -> tuple[int, ...]:

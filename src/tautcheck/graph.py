@@ -232,48 +232,49 @@ def potential_tautness_violations(g: DualGraph) -> list[str]:
 # presets
 
 
-# per family: the sizes on offer (None: any), the fixed edges, then the
-# first vertex of the chain first, first + 1, ..., n (vertices numbered
-# from 1)
+# per family: the least and the greatest size (None: no bound; E9 is not
+# negative definite), the fixed edges, then the first vertex of the
+# chain first, first + 1, ..., n (vertices numbered from 1)
 _PRESET_TREES = {
-    "A": (None, (), 1),
-    "D": (range(4, 8), ((1, 3), (2, 3)), 3),
-    "E": (range(6, 9), ((1, 2), (2, 3), (3, 4), (3, 5)), 5),
+    "A": (1, None, (), 1),
+    "D": (4, None, ((1, 3), (2, 3)), 3),
+    "E": (6, 8, ((1, 2), (2, 3), (3, 4), (3, 5)), 5),
 }
 
 
+def preset_name(name: str) -> str:
+    """The canonical spelling of a preset name: upper case, no
+    underscores, the size as a number (``d_04`` is ``D4``).  Raises
+    GraphError for a name that is no preset."""
+    m = re.fullmatch(r"([ADE])(\d+)", name.strip().upper().replace("_", ""))
+    n = int(m[2]) if m else 0
+    if m and m[1] == "A" and n < 1:
+        raise GraphError(f"preset {name!r}: chain length must be >= 1")
+    least, most = _PRESET_TREES[m[1]][:2] if m else (1, None)
+    if n < least or most is not None and n > most:
+        raise GraphError(f"unknown preset {name!r} (available: A<n>, "
+                         f"D<n> for n >= 4, E6, E7, E8)")
+    return f"{m[1]}{n}"
+
+
 def preset_graph(name: str) -> tuple[DualGraph, tuple[int, ...] | None]:
-    """Built-in graphs: chains A<n> and the branched trees D4..D7, E6..E8.
+    """Built-in graphs: chains A<n> and the branched trees D<n>, E6..E8,
+    named by any spelling `preset_name` accepts (``a_3``, ``D04`` ...).
 
     All preset vertices have genus 0 and self-intersection -2.  The D/E
     presets and A1 come with their least anti-ample cycle, computed by
     `cycles.anti_ample_cycle` (returned as the second element); longer
     chains return ``None`` and the pipeline computes one itself.
-
-    Parameters
-    ----------
-    name : str
-        Case-insensitive, underscore optional: ``A3``, ``a_3``, ``D4`` ...
-
-    Returns
-    -------
-    (DualGraph, tuple or None)
     """
     from .cycles import anti_ample_cycle      # cycles imports this module
 
-    key = name.strip().upper().replace("_", "")
-    m = re.fullmatch(r"([ADE])(\d+)", key)
-    sizes, fixed, first = _PRESET_TREES[m[1]] if m else ((), (), 1)
-    if m is None or (sizes is not None and int(m[2]) not in sizes):
-        raise GraphError(f"unknown preset {name!r} "
-                         f"(available: A<n>, D4, D5, D6, D7, E6, E7, E8)")
-    n = int(m[2])
-    if n < 1:
-        raise GraphError(f"preset {name!r}: chain length must be >= 1")
-    v = m[1].lower()
+    key = preset_name(name)
+    family, n = key[0], int(key[1:])
+    fixed, first = _PRESET_TREES[family][2:]
+    v = family.lower()
     g = DualGraph()
     for i in range(1, n + 1):
         g.add_vertex(f"{v}{i}", 0, -2)
     for a, b in fixed + tuple((i, i + 1) for i in range(first, n)):
         g.add_edge(f"{v}{a}", f"{v}{b}")
-    return g, anti_ample_cycle(g) if sizes is not None or n == 1 else None
+    return g, anti_ample_cycle(g) if family != "A" or n == 1 else None

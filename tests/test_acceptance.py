@@ -29,21 +29,29 @@ from rank_oracle import oracle_dense, oracle_rank_dense
 
 BIG_PRIME = 2147483629          # largest prime below 2**31
 
-# reference values: preset -> (rows, ranks at p=2,3,5,7, h1 at p=2,3,5,7)
+# reference values: preset -> (rows, ranks at p=2,3,5,7, h1 at p=2,3,5,7);
+# D_N has h1 = floor(N/2) - 1 at 2, consistent with Artin's floor(N/2)
+# forms of D_N in characteristic 2 ("Coverings of the rational double
+# points in characteristic p", 1977)
 FAST_TIER = {
     "D4": (660, (659, 660, 660, 660), (1, 0, 0, 0)),
     "D5": (2736, (2735, 2736, 2736, 2736), (1, 0, 0, 0)),
     "D6": (9300, (9298, 9300, 9300, 9300), (2, 0, 0, 0)),
     "E6": (18060, (18059, 18059, 18060, 18060), (1, 1, 0, 0)),
+    "D8": (47908, (47905, 47908, 47908, 47908), (3, 0, 0, 0)),
+    "D9": (79520, (79517, 79520, 79520, 79520), (3, 0, 0, 0)),
 }
 SLOW_TIER = {
     "D7": (21672, (21670, 21672, 21672, 21672), (2, 0, 0, 0)),
     "E7": (126072, (126069, 126071, 126072, 126072), (3, 1, 0, 0)),
+    "D10": (167616, (167612, 167616, 167616, 167616), (4, 0, 0, 0)),
+    "D11": (253120, (253116, 253120, 253120, 253120), (4, 0, 0, 0)),
 }
+D12_ROW = (374660, (374655, 374660, 374660, 374660), (5, 0, 0, 0))
 E8_ROW = (1024380, (1024376, 1024378, 1024379, 1024380), (4, 2, 1, 0))
 
 TABLE_J = {"D4": 11, "D5": 19, "D6": 31, "E6": 43, "D7": 43, "E7": 103,
-           "E8": 271}
+           "E8": 271, "D8": 59, "D9": 71, "D10": 97, "D11": 113}
 
 
 def _check_table_row(preset, rows, ranks, h1):
@@ -75,6 +83,7 @@ def test_criterion_02_reference_table_slow_tier():
 
 @pytest.mark.e8
 def test_criterion_02_reference_table_e8_long_running():
+    _check_table_row("D12", *D12_ROW)
     rows, ranks, h1 = E8_ROW
     r = _check_table_row("E8", rows, ranks, h1)
     assert r["results"]["q"]["rank"] == 1024380

@@ -52,19 +52,17 @@ def test_analyze_star_report_values():
     r = analyze(preset="D4")
     assert r["status"] == "ok"
     assert r["version"] == __version__
-    assert r["graph"] == {"preset": "D4", "vertices": 4, "edges": 3,
+    assert r["graph"] == {"preset": "D4", "edges": 3,
                           "ids": ["d1", "d2", "d3", "d4"]}
-    assert r["checks"] == {"connected": True, "negative_definite": True,
-                           "potentially_taut": True}
+    assert "checks" not in r
     assert r["cycles"]["fundamental"] == [1, 1, 2, 1]
     assert r["cycles"]["used"] == [3, 3, 5, 3]
     assert r["cycles"]["source"] == "preset"
     assert r["cycles"]["coprime_adjusted"] is False
-    plan = r["plan"]
-    assert (plan["lambda_bound"], plan["tau"], plan["nu"], plan["j"]) == \
+    plan, model = r["plan"], r["model"]
+    assert (plan["lambda_bound"], plan["tau"], plan["nu"], model["j"]) == \
         (0, 1, 2, 11)
-    assert "mode" not in plan
-    model = r["model"]
+    assert "mode" not in plan and "j" not in plan
     assert (model["points"], model["rows"], model["columns"]) == (3, 660, 720)
     assert set(r["results"]) == {"q", "p2", "p3", "p5", "p7"}
     for key, res in r["results"].items():
@@ -146,7 +144,7 @@ def test_chains_are_taut_over_Q(g):
 
 def test_analyze_j_override_notes_and_rows():
     r = analyze(preset="D4", j=13)
-    assert r["plan"]["j"] == 13
+    assert r["model"]["j"] == 13
     assert r["model"]["rows"] == 2 * 3 * (13 * 13 - 13)
     assert len(r["notes"]) == 1
     assert "13" in r["notes"][0] and "11" in r["notes"][0]
@@ -368,6 +366,17 @@ def test_main_unknown_preset_errors(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_main_preset_spellings_print_the_same_bytes(capsys):
+    """Every spelling of a preset prints its canonical name's report,
+    label included.  At j = 11 (automatic for D4 and A1) E7 is fast."""
+    for alias, name in [("D04", "D4"), ("d_04", "D4"), (" D4 ", "D4"),
+                        ("A01", "A1"), ("E07", "E7")]:
+        got, want = (_run(capsys, ["analyze", "--preset", x, "--j", "11"])
+                     for x in (alias, name))
+        assert got == want and got[0] == 0, alias
+        assert f"input: preset {name} with" in got[1]
 
 
 def test_star_import_binds_exactly_all():

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import tautcheck.cycles as cycles
 from tautcheck.cycles import (
     CyclesError,
     MultiplicityPlan,
@@ -81,6 +82,20 @@ def test_fundamental_rejects_bad_graphs():
         with pytest.raises(CyclesError,
                            match=f"^{what} needs a negative-definite graph$"):
             least(degenerate)
+
+
+def test_least_cycle_names_its_step_bound(monkeypatch):
+    """An iteration cut short by its step bound says so, rather than
+    doubt the graph it has just found negative definite.  D4's least
+    anti-ample cycle (3, 3, 5, 3) is 10 bumps above all-ones, and the
+    step that finds nothing to bump is the 11th."""
+    g, _ = preset_graph("D4")
+    monkeypatch.setattr(cycles, "_MAX_STEPS", 10)
+    with pytest.raises(CyclesError, match="^anti-ample cycle iteration "
+                       "reached its bound of 10 steps$"):
+        anti_ample_cycle(g)
+    monkeypatch.setattr(cycles, "_MAX_STEPS", 11)
+    assert anti_ample_cycle(g) == (3, 3, 5, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from tautcheck.graph import (
     parse_graph,
     potential_tautness_violations,
     preset_graph,
+    preset_name,
 )
 
 from graph_writer import graph_text
@@ -311,6 +312,7 @@ PRESET_CYCLES = {
     "D5": (5, 5, 9, 7, 4),
     "D6": (8, 8, 15, 13, 10, 6),
     "D7": (11, 11, 21, 19, 16, 12, 7),
+    "D8": (14, 14, 27, 25, 22, 18, 13, 7),
     "E6": (8, 15, 21, 11, 15, 8),
     "E7": (18, 35, 51, 26, 40, 28, 15),
     "E8": (46, 91, 135, 68, 110, 84, 57, 29),
@@ -342,17 +344,18 @@ def test_preset_sizes_read_as_numbers():
     """A leading zero names the same preset on every letter, as it does
     for the chains (A01 is A1)."""
     for alias, name in [("D04", "D4"), ("d_04", "D4"), ("E07", "E7"),
-                        ("A01", "A1")]:
+                        ("A01", "A1"), ("D008", "D8"), (" d_8 ", "D8")]:
+        assert preset_name(alias) == name
         (g, cyc), (want, want_cyc) = preset_graph(alias), preset_graph(name)
         assert (g.ids, g.genus, g.selfint, g.edges, cyc) == \
             (want.ids, want.genus, want.selfint, want.edges, want_cyc)
 
 
 def test_preset_unknown():
-    for bad in ["F4", "D3", "E5", "D8", "D008", "E09", "Q"]:
+    for bad in ["F4", "D3", "D0", "E5", "E9", "E09", "Q", "A-1", ""]:
         with pytest.raises(GraphError, match=re.escape(
-                f"unknown preset {bad!r} (available: A<n>, D4, D5, D6, "
-                f"D7, E6, E7, E8)")):
+                f"unknown preset {bad!r} (available: A<n>, D<n> for "
+                f"n >= 4, E6, E7, E8)")):
             preset_graph(bad)
     with pytest.raises(GraphError, match="chain length must be >= 1"):
         preset_graph("A0")

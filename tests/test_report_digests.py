@@ -59,7 +59,7 @@ def _cases() -> tuple[dict[str, list[str]], dict[str, str]]:
     cases["D4 graph structured"] = ["analyze", "--graph", "{d4}",
                                     "--format", "structured"]
     cases["valence-4 graph"] = ["analyze", "--graph", "{valence4}"]
-    cases["unknown preset D8"] = ["analyze", "--preset", "D8"]
+    cases["unknown preset D3"] = ["analyze", "--preset", "D3"]
     cases["unknown preset E5"] = ["analyze", "--preset", "E5"]
     cases["empty chain A0"] = ["analyze", "--preset", "A0"]
     cases["spelled a_01"] = ["analyze", "--preset", "a_01"]
