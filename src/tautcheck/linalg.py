@@ -6,9 +6,12 @@ Strategy, the structured Gaussian elimination of Dumas & Villard (CASC
 1. *peel* over ℤ, once per matrix: pivot on rows/columns with a single
    entry when that entry is ±1, a unit mod every prime, and delete the
    crossing line.  Each such pivot contributes exactly 1 to the rank at
-   every prime alike;
-2. per prime, reduce only what that peel left mod p, drop the zero
-   residues, and peel again, now on any singleton;
+   every prime alike.  Once most of the entries a peel round scans are
+   dead, the survivors are copied out and later rounds scan only them;
+2. per prime, gather only the entries that peel left, by their
+   positions, reduce them mod p, drop the zero residues, and peel
+   again, now on any singleton.  A prime whose residual is empty costs
+   nothing more;
 3. rank the remaining core by sparse elimination in one column order,
    sparsest first, fixed up front.
 
@@ -120,6 +123,10 @@ def _draw_rank_primes(trials: int) -> tuple[int, ...]:
 # bulk peel rounds go on while a round on each side deletes at least this
 # share of the entries left; frontier rounds finish the peel
 _BULK_SHARE = 1 / 8
+# a bulk round copies out the live entries once fewer than this share of
+# the entries it scanned is alive, so a copy is at most half what it
+# replaces
+_COMPACT_SHARE = 1 / 2
 
 
 def _members(index: tuple[np.ndarray, np.ndarray],
@@ -142,19 +149,24 @@ def _peel(shape: tuple[int, int], ends: list[np.ndarray],
     pivot adds 1 to the rank over any field where its entry is a unit:
     eliminating with it changes no other line.
 
-    Returns (rank gained, mask of the entries left).  The entry arrays
-    are read where they are, never compacted; an alive mask and the
-    live count of every line follow the deletions.
+    Returns (rank gained, int32 positions into `ends` of the entries
+    left, increasing).  An alive mask and the live count of every line
+    follow the deletions.
 
     Bulk rounds come first, on rows and columns in turn: each scans
-    every entry and pivots on every singleton line.  Once a round on
-    each side deletes less than `_BULK_SHARE` of the entries left,
-    frontier rounds finish: they index the live entries by row and by
-    column once, and look only at the lines whose count has just fallen
-    to 1.  A round on one side deletes lines of the other, so only its
-    own side's counts fall: each side keeps its own frontier.
+    every entry held and pivots on every singleton line.  Once fewer
+    than `_COMPACT_SHARE` of the entries a round scanned are alive, the
+    survivors' ends and pivot flags are copied out, with a map from
+    their positions back to the caller's, and later rounds read only the
+    copies.  Once a round on each side deletes less than `_BULK_SHARE`
+    of the entries left, frontier rounds finish: they index the live
+    entries by row and by column once, and look only at the lines whose
+    count has just fallen to 1.  A round on one side deletes lines of
+    the other, so only its own side's counts fall: each side keeps its
+    own frontier.
     """
     alive = np.ones(ends[0].size, dtype=bool)
+    where = None                # the caller's positions of a copy's entries
     count = [np.bincount(e, minlength=n).astype(np.int32)
              for e, n in zip(ends, shape)]
     rank, side = 0, 0
@@ -172,38 +184,46 @@ def _peel(shape: tuple[int, int], ends: list[np.ndarray],
         count[1 - side][gone] = 0
         rank += int(np.count_nonzero(gone))
         left -= int(np.count_nonzero(dead))
+        if 0 < left < _COMPACT_SHARE * alive.size:
+            keep = np.flatnonzero(alive)
+            ends = [e[keep] for e in ends]
+            if pivot is not None:
+                pivot = pivot[keep]
+            where = keep if where is None else where[keep]
+            alive = np.ones(left, dtype=bool)
         side = 1 - side
         if side == 0:           # after a round on each side
             if before - left < _BULK_SHARE * before:
                 break
             before = left
-    if left in (0, before):     # nothing left, or nothing left to pivot on
-        return rank, alive
-    front = [np.flatnonzero(c == 1) for c in count]
-    # (ptr, order) per side: the live entries of line k sit at positions
-    # order[ptr[k]:ptr[k + 1]].  The columns' order is sorted from the
-    # rows', so no third list of positions is held while sorting
-    index, order = [], np.flatnonzero(alive).astype(np.int32)
-    for e, c in zip(ends, count):
-        order = order[np.argsort(e[order])]
-        index.append((np.concatenate(([0], np.cumsum(c))), order))
-    while front[0].size or front[1].size:
-        lines = front[side][count[side][front[side]] == 1]
-        sole = _members(index[side], lines)
-        sole = sole[alive[sole]]
-        if pivot is not None:
-            sole = sole[pivot[sole]]
-        gone = np.unique(ends[1 - side][sole])
-        rank += gone.size
-        dead = _members(index[1 - side], gone)
-        dead = dead[alive[dead]]
-        alive[dead] = False
-        count[1 - side][gone] = 0
-        hit, lost = np.unique(ends[side][dead], return_counts=True)
-        count[side][hit] -= lost
-        front[side] = hit[count[side][hit] == 1]
-        side = 1 - side
-    return rank, alive
+    if left not in (0, before):  # something left, and something to pivot on
+        front = [np.flatnonzero(c == 1) for c in count]
+        # (ptr, order) per side: the live entries of line k sit at
+        # positions order[ptr[k]:ptr[k + 1]].  The columns' order is
+        # sorted from the rows', so no third list of positions is held
+        # while sorting
+        index, order = [], np.flatnonzero(alive).astype(np.int32)
+        for e, c in zip(ends, count):
+            order = order[np.argsort(e[order])]
+            index.append((np.concatenate(([0], np.cumsum(c))), order))
+        while front[0].size or front[1].size:
+            lines = front[side][count[side][front[side]] == 1]
+            sole = _members(index[side], lines)
+            sole = sole[alive[sole]]
+            if pivot is not None:
+                sole = sole[pivot[sole]]
+            gone = np.unique(ends[1 - side][sole])
+            rank += gone.size
+            dead = _members(index[1 - side], gone)
+            dead = dead[alive[dead]]
+            alive[dead] = False
+            count[1 - side][gone] = 0
+            hit, lost = np.unique(ends[side][dead], return_counts=True)
+            count[side][hit] -= lost
+            front[side] = hit[count[side][hit] == 1]
+            side = 1 - side
+    kept = np.flatnonzero(alive)
+    return rank, (kept if where is None else where[kept]).astype(np.int32)
 
 
 def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
@@ -248,7 +268,7 @@ def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
 
 class _Residual(NamedTuple):
     """What the peel over ℤ leaves of `matrix`: the rank its pivots give
-    and the mask of the entries left."""
+    and the int32 positions of the entries left in its entry arrays."""
 
     matrix: object
     rank: int
@@ -269,21 +289,23 @@ def _peel_over_Z(matrix) -> _Residual:
 def _core_mod_p(residual: _Residual, p: int):
     """(rank, rows, cols, vals): the residual mod p with its zero
     residues dropped, peeled; the rank of both peels, and the core they
-    leave.  Each distinct value is reduced once."""
+    leave.  Each distinct value is reduced once, and only the residual's
+    entries are read."""
     m, left = residual.matrix, residual.left
-    vals = (m.values % p).astype(np.int32).take(m.code[left])
+    vals = (m.values % p).astype(np.int32).take(m.code.take(left))
     nonzero = vals != 0
-    keep = left.copy()
-    keep[left] = nonzero
-    rows, cols, vals = m.row[keep], m.col[keep], vals[nonzero]
-    rank, left = _peel((m.nrows, m.ncols), [rows, cols], None)
-    return residual.rank + rank, rows[left], cols[left], vals[left]
+    left = left[nonzero]
+    rows, cols, vals = m.row.take(left), m.col.take(left), vals[nonzero]
+    rank, core = _peel((m.nrows, m.ncols), [rows, cols], None)
+    return residual.rank + rank, rows[core], cols[core], vals[core]
 
 
 def _rank_residual_mod_p(residual: _Residual, p: int) -> int:
     """Rank over GF(p) of the matrix that `residual` was peeled from."""
     if not is_valid_modulus(p):
         raise LinalgError(f"modulus {p} is not a prime below 2^31")
+    if not residual.left.size:
+        return residual.rank
     p = int(p)
     rank, rows, cols, vals = _core_mod_p(residual, p)
     return rank + _sparse_core_rank_mod_p(rows, cols, vals, p)

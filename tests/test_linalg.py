@@ -261,12 +261,12 @@ def test_peel_over_Z_pivots_only_on_units():
     residual, and the primes dividing its entry rank it lower."""
     for v in (1, -1):
         z = linalg._peel_over_Z(from_dense([[v, 5], [0, 2]]))
-        assert (z.rank, z.left.tolist()) == (1, [False, False, True])
+        assert (z.rank, z.left.tolist()) == (1, [2])
     for v in (2, 3, 210, -210):
         # column 1 is a unit singleton; row 0 is left holding v alone
         dense = [[v, 0], [7, 1]]
         z = linalg._peel_over_Z(from_dense(dense))
-        assert (z.rank, int(np.count_nonzero(z.left))) == (1, 1)
+        assert (z.rank, z.left.size) == (1, 1)
         for p in (2, 3, 5, 7):
             want = 1 if v % p == 0 else 2
             assert rank_mod_p(from_dense(dense), p) == want == \
@@ -300,6 +300,95 @@ def test_rank_mod_p_pivot_rule_matches_oracle(dense):
         assert rank_mod_p(m, p) == oracle_rank_mod_p(dense, p)
 
 
+def reference_peel_left(entries, pivotable):
+    """Indices of the entries that peeling leaves, one pivot at a time:
+    while a row or column holds exactly one live entry and that entry
+    may pivot, delete the crossing line.  The entries left do not depend
+    on the order of the pivots."""
+    live = set(range(len(entries)))
+    changed = True
+    while changed:
+        changed = False
+        for side in (0, 1):
+            lines = {}
+            for i in live:
+                lines.setdefault(entries[i][side], []).append(i)
+            for members in lines.values():
+                i = members[0]
+                if len(members) == 1 and i in live and pivotable[i]:
+                    cross = entries[i][1 - side]
+                    live -= {k for k in live if entries[k][1 - side] == cross}
+                    changed = True
+    return sorted(live)
+
+
+def _copied_peel_dense(with_core):
+    """A matrix whose first row round deletes 327 of its 593 entries
+    (584 without the core) and whose first column round deletes 202 of
+    the rest, so the bulk rounds copy the survivors out twice; a chain of
+    30 then peels two entries a round, so the frontier rounds pivot on
+    the copies.  Rows, columns and the entry order are shuffled, so the
+    copies' positions differ from the caller's.  Units sit where the
+    peel over ℤ needs them; the 3 x 3 core has no singleton line."""
+    triples = []
+    # 25 singleton rows, each crossing a column shared with 12 rows
+    for c in range(25):
+        triples.append((c, c, 1))
+        triples += [(25 + r, c, 5) for r in range(12)]
+    # 10 rows, each holding 20 singleton columns
+    for r in range(10):
+        triples += [(37 + r, 25 + 20 * r + k, (-1) ** k) for k in range(20)]
+    # a chain of 30: 1 on the diagonal, 3 beside it
+    for i in range(30):
+        triples.append((47 + i, 225 + i, 1))
+        if i < 29:
+            triples.append((47 + i, 226 + i, 3))
+    shape = (77, 255)
+    if with_core:
+        core = [[2, 3, 5], [7, 11, 13], [17, 19, 23]]
+        triples += [(77 + r, 255 + c, core[r][c])
+                    for r in range(3) for c in range(3)]
+        shape = (80, 258)
+    rng = random.Random(29)
+    rows, cols = list(range(shape[0])), list(range(shape[1]))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    triples = [(rows[r], cols[c], v) for r, c, v in triples]
+    rng.shuffle(triples)
+    dense = [[0] * shape[1] for _ in range(shape[0])]
+    for r, c, v in triples:
+        dense[r][c] = v
+    return triples, dense
+
+
+def test_peel_positions_survive_its_copies():
+    """Positions the peel returns index the caller's entry arrays, also
+    after the bulk rounds have copied the survivors out: mapped back,
+    they are exactly the entries a peel one pivot at a time leaves, over
+    ℤ (units only) and mod p (every entry).  The ranks agree with
+    textbook elimination, and a matrix that peels away entirely leaves
+    every prime an empty residual."""
+    triples, dense = _copied_peel_dense(with_core=True)
+    m = SparseIntMatrix.from_coo(len(dense), len(dense[0]), triples)
+    entries = list(zip(m.row.tolist(), m.col.tolist()))
+    values = m.values[m.code].tolist()
+    z = linalg._peel_over_Z(m)
+    assert z.left.dtype == np.int32
+    assert z.left.tolist() == reference_peel_left(
+        entries, [abs(v) == 1 for v in values]) != []
+    left = linalg._peel((m.nrows, m.ncols), [m.row, m.col], None)[1]
+    assert left.tolist() == reference_peel_left(
+        entries, [True] * len(entries))
+    for p in (2, 3, 5, 7, 101):
+        assert rank_mod_p(m, p) == oracle_rank_mod_p(dense, p)
+    triples, dense = _copied_peel_dense(with_core=False)
+    m = SparseIntMatrix.from_coo(len(dense), len(dense[0]), triples)
+    assert linalg._peel_over_Z(m).left.size == 0
+    proof = prove_rank_over_Q(m, [2, 3, 5, 7])
+    assert set(proof.ranks.values()) == {oracle_rank_over_Q(dense)} == {65}
+    assert (proof.rank_q, proof.certificate_prime) == (65, None)
+
+
 def test_e7_peel_facts():
     """The peels on E7 reach as far as they should.  A peel that stops
     early still gives the right ranks, only slower, so its sizes are
@@ -308,7 +397,7 @@ def test_e7_peel_facts():
     m = assemble_matrix(build_model(preset_graph("E7")[0], 103,
                                     [2, 3, 5, 7]))
     z = linalg._peel_over_Z(m)
-    assert (z.rank, int(np.count_nonzero(z.left))) == (117_858, 450_206)
+    assert (z.rank, z.left.size) == (117_858, 450_206)
     core = {p: linalg._core_mod_p(z, p)[1].size for p in (2, 3, 5, 7)}
     assert core == {2: 0, 3: 21_781, 5: 138_740, 7: 111_832}
 
