@@ -154,6 +154,26 @@ def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum(), dtype=np.int64) - starts.repeat(lengths)
 
 
+# entries per slot-"1" fill and per renumbering slice: bounds the int64
+# temporaries of a run piece (runs, row ids, keys) and the int64 index
+# copy `take` makes, whatever the size of the matrix
+_FILL_CHUNK = 1 << 18
+
+
+def _column_ranges(ends: np.ndarray, cols: tuple) -> list:
+    """(first, stop, slices of `cols`) for consecutive column ranges of
+    about `_FILL_CHUNK` entries each, `ends` the cumulative run lengths;
+    first and stop are the flat positions of the range's entries."""
+    # each range ends with the column whose run reaches the next multiple
+    # of the chunk
+    cuts = np.searchsorted(ends, np.arange(_FILL_CHUNK, ends[-1],
+                                           _FILL_CHUNK)) + 1
+    edges = [0, *cuts.tolist(), ends.size]
+    flat = [0, *ends[cuts - 1].tolist(), int(ends[-1])]
+    return [(flat[i], flat[i + 1], [a[lo:hi] for a in cols])
+            for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+
+
 def _family_grid(model: PlumbingModel, l: int) -> tuple[bool, list]:
     """(vanish_one, grid) of vertex l: each family is one grid row
     (family, b_lo, a_lo, slope, intercept) holding b_lo <= b < j and
@@ -219,7 +239,12 @@ def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
     candidate grid: all-zero candidate columns are dropped, and the rest
     keep their order.  An entry coef * C(n, k) is filled as one key for
     (coef, n, k); the keys in use are numbered the same way, and become
-    codes into the exact table of their values.
+    codes into the exact table of their values.  A slot-"1" piece larger
+    than `_FILL_CHUNK` entries is filled in column ranges of about that
+    many, and the columns and keys are renumbered in slices of it, so no
+    temporary grows with the matrix; the entries land in the same order
+    either way.  Each fill writes columns increasing, rows increasing
+    within a column.
     """
     est = estimate_assembly(model)
     n, nnz, cands = model.j, est["nnz"], est["candidate_columns"]
@@ -243,6 +268,12 @@ def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
         if end > nnz:
             raise PlumbingError("more entries than the closed-form count")
         row[at], col[at], code[at] = rows, cols, keys
+
+    def fill_runs(first, stop, runs, starts, ye, ids, key, klo, kind, where):
+        # entry i of a run is its flat position less the run's start
+        r = np.arange(first, stop) - starts.repeat(runs)
+        fill(_row_ids(klo + r, ye.repeat(runs), kind, *where),
+             ids.repeat(runs), key.repeat(runs) + r)
 
     for l, nu in enumerate(model.nu):
         vanish_one, grid = _family_grid(model, l)
@@ -280,20 +311,28 @@ def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
                     runs = np.maximum(np.minimum(xe + e, n - 1) - klo + 1, 0)
                     runs *= (ye >= ylo) & (ye < n)
                     seen |= runs > 0
-                    r = _ragged_arange(runs)
                     key = (coefs.index(coef) * nspan + xe) * kspan + klo - e
-                    fill(_row_ids(klo + r, ye.repeat(runs), kind, *where),
-                         ids.repeat(runs), key.repeat(runs) + r)
+                    ends = np.cumsum(runs)
+                    total = int(ends[-1])
+                    cols = (runs, ends - runs, ye, ids, key)
+                    for first, stop, part in (
+                            ((0, total, cols),) if total <= _FILL_CHUNK else
+                            _column_ranges(ends, cols)):
+                        fill_runs(first, stop, *part, klo, kind, where)
     if end != nnz or col0 != used.size:
         raise PlumbingError("fewer entries or columns than counted")
-    # candidate column -> matrix column: its place among the used ones
-    (np.cumsum(used, dtype=np.int32) - 1).take(col, out=col, mode="clip")
     used_keys = np.zeros(len(coefs) * nspan * kspan, dtype=bool)
     used_keys[code] = True
-    # keys -> codes in place, numbered like the columns; every key is in
-    # range, so "clip" moves none, and unlike the default it buffers no copy
-    (np.cumsum(used_keys, dtype=np.int32) - 1).take(code, out=code,
-                                                    mode="clip")
+    # candidate column -> matrix column and key -> code, each its place
+    # among the used ones, in place and in slices (`take` copies its
+    # int32 indices to int64); every index is in range, so "clip" moves
+    # none, and unlike the default it buffers no copy of the output
+    col_ids = np.cumsum(used, dtype=np.int32) - 1
+    codes = np.cumsum(used_keys, dtype=np.int32) - 1
+    for s in range(0, nnz, _FILL_CHUNK):
+        at = slice(s, s + _FILL_CHUNK)
+        col_ids.take(col[at], out=col[at], mode="clip")
+        codes.take(code[at], out=code[at], mode="clip")
     c, nk = np.divmod(np.flatnonzero(used_keys), nspan * kspan)
     bn, bk = np.divmod(nk, kspan)
     values = np.array(coefs, dtype=object)[c] * \

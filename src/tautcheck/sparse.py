@@ -12,7 +12,9 @@ exact ints.
 Rows and columns are int32; a shape of 2^31 or more is refused.
 Entries are stored in the order they are given; `write_matrix_text`
 writes them in row-major order (row, then column).  No duplicate
-coordinates and no zero values are allowed.
+coordinates and no zero values are allowed: the constructor finds
+duplicates by a stable sort of one int64 column-major key per entry,
+which merges the few sorted runs that assembly's entries form.
 
 Text format, written for other tools to read::
 
@@ -88,14 +90,17 @@ class SparseIntMatrix:
             if code.min() < 0 or code.max() >= values.size:
                 raise SparseMatrixError("value code out of range")
             # duplicates are equal neighbours among the sorted keys; the
-            # key is int64, as row * ncols overflows int32
-            key = row.astype(np.int64)
-            key *= self.ncols
-            key += col
-            key.sort()
+            # key is column-major and int64, as col * nrows overflows
+            # int32.  Each assembly fill writes columns increasing, rows
+            # increasing within a column, so assembly's keys form a few
+            # sorted runs, which the stable sort merges
+            key = col.astype(np.int64)
+            key *= self.nrows
+            key += row
+            key.sort(kind="stable")
             dup = key[1:][key[1:] == key[:-1]]
             if dup.size:
-                r, c = divmod(int(dup[0]), self.ncols)
+                c, r = divmod(int(dup[0]), self.nrows)
                 raise SparseMatrixError(f"duplicate entry at row {r}, col {c}")
         self.row, self.col, self.code, self.values = row, col, code, values
 

@@ -6,6 +6,7 @@ scalar oracle of `plumbing_oracle`, written from the chart formulas, and
 compares them against the vectorized assembly.
 """
 
+import hashlib
 import itertools
 import tracemalloc
 
@@ -592,6 +593,103 @@ def test_estimate_allocates_nothing_per_column():
         tracemalloc.stop()
     assert est["nnz"] == 310_455_746
     assert peak < 2**20
+
+
+def _traced_assembly(model):
+    """(matrix, traced peak bytes) of one assembly."""
+    tracemalloc.start()
+    try:
+        mat = assemble_matrix(model)
+        return mat, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _array_digest(mat):
+    """sha256 of the row, col and code bytes and the value table."""
+    h = hashlib.sha256()
+    for a in (mat.row, mat.col, mat.code):
+        h.update(a.tobytes())
+    h.update(repr(mat.values.tolist()).encode())
+    return h.hexdigest()
+
+
+def _spy_column_ranges(monkeypatch):
+    """The entry totals of the fills `assemble_matrix` cuts into column
+    ranges, appended as it cuts them."""
+    totals, column_ranges = [], plumbing._column_ranges
+    monkeypatch.setattr(plumbing, "_column_ranges", lambda ends, cols: (
+        totals.append(int(ends[-1])) or column_ranges(ends, cols)))
+    return totals
+
+
+def _e7_model():
+    return build_model(preset_graph("E7")[0], 103, list(DEFAULT_PRIMES))
+
+
+def test_e7_assembly_bytes_pinned(monkeypatch):
+    """E7's entry arrays and value table, pinned before the slot-"1"
+    fills were cut into column ranges.  Two of its fills (626 k and
+    639 k entries) take the ranges, and land in the same order."""
+    ranged = _spy_column_ranges(monkeypatch)
+    mat = assemble_matrix(_e7_model())
+    assert sorted(ranged) == [625_532, 638_587]
+    assert mat.nnz == 1_492_392
+    assert _array_digest(mat) == \
+        "e7bb5e22afe16ace5729be482a83b8e00602856f2f7ae882aea3e13b1a5585b2"
+
+
+def test_e7_assembly_peak_within_twice_its_output():
+    """Assembly's transients are bounded by the fill chunk, so E7's
+    traced peak stays within twice its 12 B/entry output (17.1 MiB);
+    one int64 key per entry for the duplicate check sets it."""
+    mat, peak = _traced_assembly(_e7_model())
+    assert peak <= 2 * 12 * mat.nnz, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("preset, j", [("D4", 11), ("E6", 43)])
+def test_small_fill_chunks_give_the_same_arrays(monkeypatch, preset, j):
+    """Cutting every slot-"1" fill and renumbering slice at 64 entries
+    changes no byte of the assembled arrays or the value table."""
+    model = build_model(preset_graph(preset)[0], j, list(DEFAULT_PRIMES))
+    whole = assemble_matrix(model)
+    monkeypatch.setattr(plumbing, "_FILL_CHUNK", 64)
+    ranged = _spy_column_ranges(monkeypatch)
+    cut = assemble_matrix(model)
+    assert ranged and min(ranged) > 64
+    for name in ("row", "col", "code"):
+        assert np.array_equal(getattr(cut, name), getattr(whole, name))
+    assert cut.values.tolist() == whole.values.tolist()
+
+
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=60),
+       st.integers(1, 50))
+def test_column_ranges_cover_the_runs_in_order(runs, chunk):
+    """The ranges are consecutive, cover every column and entry once,
+    and hold fewer than `chunk` entries plus one run each."""
+    runs = np.array(runs)
+    ends = np.cumsum(runs)
+    assume(ends[-1] > chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plumbing, "_FILL_CHUNK", chunk)
+        ranges = plumbing._column_ranges(ends, (runs, np.arange(runs.size)))
+    assert ranges[0][0] == 0 and ranges[-1][1] == ends[-1]
+    assert np.concatenate([ids for _, _, (_, ids) in ranges]).tolist() == \
+        list(range(runs.size))
+    for (first, stop, (rs, _)), nxt in zip(ranges, ranges[1:] + [None]):
+        assert stop - first == rs.sum() < chunk + runs.max()
+        assert nxt is None or nxt[0] == stop
+
+
+@pytest.mark.e8
+def test_e8_assembly_peak():
+    """E8's 25,010,996 entries (286 MiB at 12 B/entry) assemble under a
+    600 MiB traced peak (731 MiB when each slot-"1" fill was one piece);
+    the duplicate check's int64 key (191 MiB) sets it."""
+    model = build_model(preset_graph("E8")[0], 271, list(DEFAULT_PRIMES))
+    mat, peak = _traced_assembly(model)
+    assert mat.nnz == 25_010_996
+    assert peak < 600 * 2**20, f"{peak / 2**20:.0f} MiB"
 
 
 def test_unshifted_points_have_small_entries():

@@ -205,8 +205,8 @@ def test_shape_of_2_31_rejected():
 
 
 def test_duplicates_found_at_large_coordinates():
-    # the duplicate check keys an entry by row * ncols + col in int64:
-    # m * n is about 2^62, far beyond int32
+    # the duplicate check keys an entry by col * nrows + row in int64:
+    # n * m is about 2^62, far beyond int32
     m = n = (1 << 31) - 1
     a = SparseIntMatrix.from_coo(m, n, [(m - 1, n - 1, 2), (0, 0, 1)])
     assert triples(a) == [(m - 1, n - 1, 2), (0, 0, 1)]
@@ -215,9 +215,35 @@ def test_duplicates_found_at_large_coordinates():
         SparseIntMatrix.from_coo(m, n, [(m - 1, n - 2, 2), (0, 0, 1),
                                         (m - 1, n - 2, 3)])
     # keys 2^32 apart are equal in int32, but distinct entries
-    a = SparseIntMatrix.from_coo(1 << 17, 1 << 16,
-                                 [(0, 5, 1), (1 << 16, 5, 2)])
-    assert triples(a) == [(0, 5, 1), (1 << 16, 5, 2)]
+    a = SparseIntMatrix.from_coo(1 << 16, 1 << 17,
+                                 [(5, 0, 1), (5, 1 << 16, 2)])
+    assert triples(a) == [(5, 0, 1), (5, 1 << 16, 2)]
+
+
+def test_duplicate_across_sorted_runs_found():
+    """Entries given as two column-sorted runs, as assembly writes
+    them: the stable sort merges the runs, and a coordinate in both is
+    found, whichever run it sits in first."""
+    n = 200
+    # every cell in column-major order, split by the parity of r + c
+    c, r = np.divmod(np.arange(n * n, dtype=np.int32), n)
+    even = (r + c) % 2 == 0
+    runs = [(r[even], c[even]), (r[~even], c[~even])]
+
+    def build(row, col):
+        return SparseIntMatrix(n, n, row, col,
+                               np.zeros(row.size, dtype=np.int32), [1])
+
+    whole = build(*(np.concatenate(a) for a in zip(*runs)))
+    assert whole.nnz == n * n
+    # (150, 90) from the first run, inserted in its place in the second
+    (r0, c0), (r1, c1) = runs
+    at = np.searchsorted(c1.astype(np.int64) * n + r1, 90 * n + 150)
+    dup = (np.insert(r1, at, 150), np.insert(c1, at, 90))
+    for first, second in (((r0, c0), dup), (dup, (r0, c0))):
+        with pytest.raises(SparseMatrixError,
+                           match="duplicate entry at row 150, col 90$"):
+            build(*(np.concatenate(a) for a in zip(first, second)))
 
 
 @st.composite
