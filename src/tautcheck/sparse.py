@@ -1,13 +1,12 @@
-"""Sparse exact integer matrices over a table of distinct values.
+"""Sparse exact integer matrices over a table of values.
 
 Each entry is stored as its row, its column and an int32 `code` into
 `values`, the matrix's table of nonzero exact ints: entry i has value
-``values[code[i]]``.  The plumbing assembly yields tens of millions of
-entries but few distinct values ``coef * C(n, k)`` (E8: 25,010,996
-entries, 110,027 values, many far beyond int64), so an entry costs 12
-bytes and reduction mod p reduces each distinct value once and looks
-its residue up per entry.  `values` is always an object array of
-exact ints.
+``values[code[i]]``.  Assembly yields tens of millions of entries but
+a small table, one ``coef * C(n, k)`` per key, which keys may share
+(E8: 25,010,996 entries, 110,027 table entries, 72,848 distinct, many
+beyond int64), so an entry costs 12 bytes and reduction mod p reduces
+each table entry once and looks its residue up per entry.
 
 Rows and columns are int32; a shape of 2^31 or more is refused.
 Entries are stored in the order they are given; `write_matrix_text`
@@ -130,16 +129,19 @@ class SparseIntMatrix:
 
     # -- modular reduction -------------------------------------------------
 
-    def arrays_mod(self, p: int):
-        """(rows, cols, values mod p): int32 arrays in entry order, zero
-        residues dropped.  Each distinct value is reduced once."""
+    def arrays_mod(self, p: int, at: np.ndarray | None = None):
+        """(rows, cols, values mod p): int32 arrays of the entries at the
+        increasing int32 positions `at` (all when None), in that order,
+        zero residues dropped.  Each table entry is reduced once."""
         if not is_int(p):
             raise SparseMatrixError(f"modulus {p!r} is not an integer")
         if not 1 < p < 1 << 31:
             raise SparseMatrixError(f"modulus {p} is not in [2, 2^31)")
-        vals = (self.values % p).astype(np.int32).take(self.code)
+        vals = (self.values % p).astype(np.int32)[
+            self.code if at is None else self.code[at]]
         keep = vals != 0
-        return self.row[keep], self.col[keep], vals[keep]
+        at = keep if at is None else at[keep]  # row, col gathered once
+        return self.row[at], self.col[at], vals[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,7 @@ _WRITE_SLICE = 1 << 16
 def write_matrix_text(matrix: SparseIntMatrix, path: str) -> None:
     """Write the matrix to `path` in the text format: header, entries
     (1-based indices, row-major order), '0 0 0' terminator.  Each
-    distinct value is formatted once."""
+    table entry is formatted once."""
     order = np.lexsort((matrix.col, matrix.row))
     value_lines = [f"{v}\n" for v in matrix.values.tolist()]
     with open(path, "w") as f:

@@ -7,6 +7,7 @@ elimination over GF(p) and Fraction elimination over the rationals.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -389,17 +390,62 @@ def test_peel_positions_survive_its_copies():
     assert (proof.rank_q, proof.certificate_prime) == (65, None)
 
 
-def test_e7_peel_facts():
+def test_each_prime_gathers_its_residual_once(monkeypatch):
+    """Each prime reads its residual through one `arrays_mod` call with
+    the residual's positions; a matrix that peels away over ℤ gathers
+    nothing."""
+    calls = []
+    gather = SparseIntMatrix.arrays_mod
+
+    def counted(self, p, at=None):
+        calls.append((p, None if at is None else at.size))
+        return gather(self, p, at)
+
+    monkeypatch.setattr(SparseIntMatrix, "arrays_mod", counted)
+    m = assemble_matrix(build_model(preset_graph("E6")[0], 43,
+                                    [2, 3, 5, 7]))
+    left = linalg._peel_over_Z(m).left.size
+    assert left
+    proof = prove_rank_over_Q(m, [2, 3, 5, 7])
+    assert calls == [(p, left) for p in proof.ranks]
+    assert len(calls) == 4
+    calls.clear()
+    triples, dense = _copied_peel_dense(with_core=False)
+    m = SparseIntMatrix.from_coo(len(dense), len(dense[0]), triples)
+    prove_rank_over_Q(m, [2, 3, 5, 7])
+    assert calls == []
+
+
+@pytest.fixture(scope="module")
+def e7_residual():
+    """What the peel over ℤ leaves of E7 at j = 103."""
+    return linalg._peel_over_Z(assemble_matrix(build_model(
+        preset_graph("E7")[0], 103, [2, 3, 5, 7])))
+
+
+def test_e7_peel_facts(e7_residual):
     """The peels on E7 reach as far as they should.  A peel that stops
     early still gives the right ranks, only slower, so its sizes are
     pinned: the rank and the entries the peel over ℤ leaves, and the
     core that each prime's peel leaves of that residual."""
-    m = assemble_matrix(build_model(preset_graph("E7")[0], 103,
-                                    [2, 3, 5, 7]))
-    z = linalg._peel_over_Z(m)
+    z = e7_residual
     assert (z.rank, z.left.size) == (117_858, 450_206)
     core = {p: linalg._core_mod_p(z, p)[1].size for p in (2, 3, 5, 7)}
     assert core == {2: 0, 3: 21_781, 5: 138_740, 7: 111_832}
+
+
+def test_e7_core_mod_2_peak(e7_residual):
+    """Gathering and peeling E7's residual mod 2 peaks under 13 B per
+    residual position (traced).  Gathers by `take` copied the int32
+    positions to int64 and read 16 B per position."""
+    z = e7_residual
+    tracemalloc.start()
+    try:
+        linalg._core_mod_p(z, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * z.left.size
 
 
 # ---------------------------------------------------------------------------

@@ -307,20 +307,31 @@ def _repeating_triples(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_repeating_triples())
-def test_arrays_mod_matches_exact_values(case):
+@given(_repeating_triples(), st.data())
+def test_arrays_mod_matches_exact_values(case, data):
     """arrays_mod(p) is (row, col, values[code[i]] mod p) entry by
     entry, in stored order with zero residues dropped, as int32 arrays;
-    the table holds each distinct literal once."""
+    the table holds each distinct literal once.  Given increasing int32
+    positions (none, some or all), it is the same restricted to them."""
     nrows, ncols, coo = case
     m = SparseIntMatrix.from_coo(nrows, ncols, coo)
     assert sorted(m.values.tolist()) == sorted({v for _, _, v in coo})
+    n = len(coo)
+    chosen = data.draw(st.one_of(
+        st.just([False] * n), st.just([True] * n),
+        st.lists(st.booleans(), min_size=n, max_size=n)))
+    at = np.flatnonzero(chosen).astype(np.int32)
     for p in REDUCTION_PRIMES:
         got = m.arrays_mod(p)
         assert [a.dtype for a in got] == [np.int32] * 3
         assert list(zip(*(a.tolist() for a in got))) == \
             oracle_residues(m, p) == \
             [(r, c, v % p) for r, c, v in coo if v % p]
+        got = m.arrays_mod(p, at)
+        assert [a.dtype for a in got] == [np.int32] * 3
+        assert list(zip(*(a.tolist() for a in got))) == \
+            [(r, c, v % p) for (r, c, v), keep in zip(triples(m), chosen)
+             if keep and v % p]
 
 
 @pytest.mark.parametrize("p", [1, 0, -3, 1 << 31])
