@@ -129,16 +129,21 @@ _BULK_SHARE = 1 / 8
 _COMPACT_SHARE = 1 / 2
 
 
+def _ranges(start, size: np.ndarray) -> np.ndarray:
+    """start[i], ..., start[i] + size[i] - 1 for each i in turn, as
+    int64; a scalar `start` starts every range."""
+    # each range shifted from its place in the concatenation
+    shift = np.repeat(start - (np.cumsum(size) - size), size)
+    return shift + np.arange(shift.size, dtype=np.int64)
+
+
 def _members(index: tuple[np.ndarray, np.ndarray],
              lines: np.ndarray) -> np.ndarray:
     """Positions of every entry that `index` (ptr, order) lists under
     `lines`."""
     ptr, order = index
     start = ptr[lines]
-    size = ptr[lines + 1] - start
-    # each line's run, shifted from its place in the concatenation
-    shift = np.repeat(start - (np.cumsum(size) - size), size)
-    return order[shift + np.arange(shift.size)]
+    return order[_ranges(start, ptr[lines + 1] - start)]
 
 
 def _peel(shape: tuple[int, int], ends: list[np.ndarray],

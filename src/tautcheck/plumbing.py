@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DualGraph, admissibility_violations
-from .linalg import is_probable_prime, is_valid_modulus
+from .linalg import _ranges, is_probable_prime, is_valid_modulus
 from .sparse import SparseIntMatrix
 
 SLOT0 = "0"
@@ -148,30 +148,10 @@ def _terms(family: str, vanish_one: bool, nu: int, chart: int):
     raise PlumbingError(f"unknown family {family!r}")
 
 
-def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, ..., lengths[i] - 1 for each i in turn."""
-    starts = np.cumsum(lengths) - lengths
-    return np.arange(lengths.sum(), dtype=np.int64) - starts.repeat(lengths)
-
-
-# entries per slot-"1" fill and per renumbering slice: bounds the int64
-# temporaries of a run piece (runs, row ids, keys) and the int64 index
-# copy `take` makes, whatever the size of the matrix
+# at most this many entries per slot-"1" fill and per renumbering slice:
+# bounds the int64 temporaries of a fill (offsets, row ids, keys) and the
+# int64 index copy `take` makes, whatever the size of the matrix
 _FILL_CHUNK = 1 << 18
-
-
-def _column_ranges(ends: np.ndarray, cols: tuple) -> list:
-    """(first, stop, slices of `cols`) for consecutive column ranges of
-    about `_FILL_CHUNK` entries each, `ends` the cumulative run lengths;
-    first and stop are the flat positions of the range's entries."""
-    # each range ends with the column whose run reaches the next multiple
-    # of the chunk
-    cuts = np.searchsorted(ends, np.arange(_FILL_CHUNK, ends[-1],
-                                           _FILL_CHUNK)) + 1
-    edges = [0, *cuts.tolist(), ends.size]
-    flat = [0, *ends[cuts - 1].tolist(), int(ends[-1])]
-    return [(flat[i], flat[i + 1], [a[lo:hi] for a in cols])
-            for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
 
 
 def _family_grid(model: PlumbingModel, l: int) -> tuple[bool, list]:
@@ -239,12 +219,12 @@ def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
     candidate grid: all-zero candidate columns are dropped, and the rest
     keep their order.  An entry coef * C(n, k) is filled as one key for
     (coef, n, k); the keys in use are numbered the same way, and become
-    codes into the exact table of their values.  A slot-"1" piece larger
-    than `_FILL_CHUNK` entries is filled in column ranges of about that
-    many, and the columns and keys are renumbered in slices of it, so no
-    temporary grows with the matrix; the entries land in the same order
-    either way.  Each fill writes columns increasing, rows increasing
-    within a column.
+    codes into the exact table of their values.  A slot-"1" piece is
+    filled in slices of `_FILL_CHUNK // j` consecutive columns, at most
+    `_FILL_CHUNK` entries each since a column's run holds at most j, and
+    the columns and keys are renumbered in slices of `_FILL_CHUNK`
+    entries, so no temporary grows with the matrix.  Each fill writes
+    columns increasing, rows increasing within a column.
     """
     est = estimate_assembly(model)
     n, nnz, cands = model.j, est["nnz"], est["candidate_columns"]
@@ -260,6 +240,8 @@ def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
     # used[c]: candidate column c holds an entry
     used = np.zeros(cands, dtype=bool)
     end = col0 = 0
+    # columns per slot-"1" fill: each holds a run of at most j entries
+    step = max(1, _FILL_CHUNK // n)
 
     def fill(rows, cols, keys):
         nonlocal end
@@ -269,18 +251,12 @@ def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
             raise PlumbingError("more entries than the closed-form count")
         row[at], col[at], code[at] = rows, cols, keys
 
-    def fill_runs(first, stop, runs, starts, ye, ids, key, klo, kind, where):
-        # entry i of a run is its flat position less the run's start
-        r = np.arange(first, stop) - starts.repeat(runs)
-        fill(_row_ids(klo + r, ye.repeat(runs), kind, *where),
-             ids.repeat(runs), key.repeat(runs) + r)
-
     for l, nu in enumerate(model.nu):
         vanish_one, grid = _family_grid(model, l)
         for family, b_lo, a_lo, slope, intercept in grid:
             bs = np.arange(b_lo, n, dtype=np.int64)
             lens = np.maximum(slope * bs + intercept - a_lo + 1, 0)
-            a, b = _ragged_arange(lens) + a_lo, bs.repeat(lens)
+            a, b = _ranges(a_lo, lens), bs.repeat(lens)
             ids = np.arange(col0, col0 + a.size, dtype=np.int32)
             seen = used[col0:col0 + a.size]
             if (col0 := col0 + a.size) > used.size:
@@ -312,13 +288,13 @@ def assemble_matrix(model: PlumbingModel) -> SparseIntMatrix:
                     runs *= (ye >= ylo) & (ye < n)
                     seen |= runs > 0
                     key = (coefs.index(coef) * nspan + xe) * kspan + klo - e
-                    ends = np.cumsum(runs)
-                    total = int(ends[-1])
-                    cols = (runs, ends - runs, ye, ids, key)
-                    for first, stop, part in (
-                            ((0, total, cols),) if total <= _FILL_CHUNK else
-                            _column_ranges(ends, cols)):
-                        fill_runs(first, stop, *part, klo, kind, where)
+                    for s in range(0, runs.size, step):
+                        at = slice(s, s + step)
+                        rs = runs[at]
+                        r = _ranges(0, rs)      # entry r of its column's run
+                        fill(_row_ids(klo + r, ye[at].repeat(rs), kind,
+                                      *where),
+                             ids[at].repeat(rs), key[at].repeat(rs) + r)
     if end != nnz or col0 != used.size:
         raise PlumbingError("fewer entries or columns than counted")
     used_keys = np.zeros(len(coefs) * nspan * kspan, dtype=bool)

@@ -8,7 +8,8 @@ memory-bound) is marked `e8` and deselected by default; run it with
 
 import random
 import resource
-from itertools import combinations, permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 from math import gcd
 
 import numpy as np
@@ -18,8 +19,9 @@ from tautcheck.cli import analyze
 from tautcheck.cycles import (anti_ample_cycle, choose_j, fundamental_cycle,
                               make_coprime_to_all,
                               significant_multiplicity_to_all)
-from tautcheck.graph import (DualGraph, is_negative_definite, parse_graph,
-                             preset_graph)
+from tautcheck.graph import (DualGraph, admissibility_violations,
+                             intersection_matrix, is_negative_definite,
+                             parse_graph, preset_graph)
 from tautcheck.linalg import prove_rank_over_Q, rank_mod_p
 from tautcheck.plumbing import assemble_matrix, build_model
 from tautcheck.sparse import SparseIntMatrix
@@ -105,6 +107,10 @@ SMALL_WINDOWS = {
     ("E8", 17): (0,) + E8_ROW[2],
     ("E8", 19): (0,) + E8_ROW[2],
     ("E8", 23): (0,) + E8_ROW[2],
+    # D_N ladder facts: floor(N/2) - 1 at 2, far below the automatic j
+    ("D16", 17): (0, 7, 0, 0, 0),
+    ("D20", 19): (0, 9, 0, 0, 0),
+    ("D30", 29): (0, 14, 0, 0, 0),
 }
 
 
@@ -114,6 +120,72 @@ def test_small_windows_reach_artin_counts(preset, j):
     assert tuple(res["h1"] for res in r["results"].values()) == \
         SMALL_WINDOWS[preset, j]
     assert r["certified"] is True
+
+
+def arithmetic_genus(g: DualGraph) -> int:
+    """p_a(Z) = 1 + (Z·Z + K·Z)/2 of the fundamental cycle Z, with
+    K·E_i = 2 g_i - 2 - E_i·E_i by adjunction.  The graph is rational
+    iff it is 0 (Artin, Amer. J. Math. 88, 1966); minimally elliptic
+    graphs have 1 (Laufer, Amer. J. Math. 99, 1977)."""
+    m, z = intersection_matrix(g), fundamental_cycle(g)
+    zz = sum(zi * mik * zk for zi, row in zip(z, m) for mik, zk in zip(row, z))
+    kz = sum(zi * (2 * gi - 2 - m[i][i])
+             for i, (zi, gi) in enumerate(zip(z, g.genus)))
+    assert (zz + kz) % 2 == 0
+    return 1 + (zz + kz) // 2
+
+
+def _tree(weights, edges):
+    g = DualGraph()
+    for i, w in enumerate(weights):
+        g.add_vertex(f"v{i}", 0, w)
+    for a, b in edges:
+        g.add_edge(f"v{a}", f"v{b}")
+    return g
+
+
+@pytest.mark.parametrize("preset",
+                         ["D4", "D5", "D11", "E6", "E7", "E8", "A1", "A5"])
+def test_presets_are_rational(preset):
+    assert arithmetic_genus(preset_graph(preset)[0]) == 0
+
+
+@pytest.mark.parametrize("weights, edges, p_a, h1, certified", [
+    # rational, no -1 vertex, yet h1 = 1 over Q and in every characteristic
+    ((-2, -5, -2, -3, -2, -2, -2),
+     [(0, 1), (1, 2), (0, 3), (0, 4), (3, 5), (4, 6)],
+     0, (1, 1, 1, 1, 1), False),
+    # not rational, yet certified taut over Q: h1 = 0 except at 2
+    ((-2, -2, -5, -2, -3, -3), [(0, 1), (0, 2), (1, 3), (0, 4), (1, 5)],
+     1, (0, 1, 0, 0, 0), True),
+])
+def test_arithmetic_genus_of_two_trees(weights, edges, p_a, h1, certified):
+    """Two trees where `h1`_Q and p_a(Z) part, pinned at j = 11 as
+    measured findings."""
+    g = _tree(weights, edges)
+    assert not admissibility_violations(g)
+    assert arithmetic_genus(g) == p_a
+    r = analyze(graph=g, j=11)
+    assert tuple(res["h1"] for res in r["results"].values()) == h1
+    assert r["certified"] is certified
+
+
+def test_three_arm_stars_h1_over_q_is_arithmetic_genus():
+    """Every admissible three-arm star with a -1, -2 or -3 centre and
+    single arms -2...-7 (arms unordered): at j = 11, `h1`_Q = p_a(Z), and
+    the rational rank is certified exactly when p_a(Z) = 0."""
+    counts = {0: 0, 1: 0}
+    for centre in (-1, -2, -3):
+        for arms in combinations_with_replacement(range(-2, -8, -1), 3):
+            g = _tree((centre,) + arms, [(0, 1), (0, 2), (0, 3)])
+            if admissibility_violations(g):
+                continue
+            p_a = arithmetic_genus(g)
+            r = analyze(graph=g, j=11)
+            assert r["results"]["q"]["h1"] == p_a, (centre, arms)
+            assert r["certified"] is (p_a == 0), (centre, arms)
+            counts[p_a] += 1
+    assert counts == {0: 112, 1: 44}
 
 
 def test_criterion_03_row_count_formula():

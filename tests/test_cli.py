@@ -391,6 +391,21 @@ def test_star_import_binds_exactly_all():
     assert public == set(names)
 
 
+def test_cli_loads_no_test_only_dependency():
+    """scipy and sympy serve only as test oracles, and hypothesis and
+    pytest only as test tools: importing the CLI in a fresh interpreter
+    loads none of them."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(tautcheck.__file__).resolve().parents[1])}
+    code = ("import sys, tautcheck.cli\n"
+            "print(*sorted({m.partition('.')[0] for m in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "numpy" in loaded
+    assert not loaded & {"scipy", "sympy", "hypothesis", "pytest"}
+
+
 def test_main_missing_file_errors(capsys):
     code, _, err = _run(capsys, ["analyze", "--graph", "/no/such/file"])
     assert code == 1

@@ -362,6 +362,23 @@ def _copied_peel_dense(with_core):
     return triples, dense
 
 
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 6)),
+                max_size=20),
+       st.one_of(st.none(), st.integers(-50, 50)),
+       st.sampled_from([np.int32, np.int64]))
+def test_ranges_concatenate_python_ranges(pairs, scalar, dtype):
+    """`_ranges(start, size)` is range(start[i], start[i] + size[i]) for
+    each i in turn, as int64, with an array or a scalar start and with
+    zero sizes."""
+    starts = [s if scalar is None else scalar for s, _ in pairs]
+    sizes = [k for _, k in pairs]
+    start = np.array(starts, dtype=dtype) if scalar is None else scalar
+    got = linalg._ranges(start, np.array(sizes, dtype=dtype))
+    assert got.dtype == np.int64
+    assert got.tolist() == [x for s, k in zip(starts, sizes)
+                            for x in range(s, s + k)]
+
+
 def test_peel_positions_survive_its_copies():
     """Positions the peel returns index the caller's entry arrays, also
     after the bulk rounds have copied the survivors out: mapped back,

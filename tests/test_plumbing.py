@@ -614,26 +614,15 @@ def _array_digest(mat):
     return h.hexdigest()
 
 
-def _spy_column_ranges(monkeypatch):
-    """The entry totals of the fills `assemble_matrix` cuts into column
-    ranges, appended as it cuts them."""
-    totals, column_ranges = [], plumbing._column_ranges
-    monkeypatch.setattr(plumbing, "_column_ranges", lambda ends, cols: (
-        totals.append(int(ends[-1])) or column_ranges(ends, cols)))
-    return totals
-
-
 def _e7_model():
     return build_model(preset_graph("E7")[0], 103, list(DEFAULT_PRIMES))
 
 
-def test_e7_assembly_bytes_pinned(monkeypatch):
+def test_e7_assembly_bytes_pinned():
     """E7's entry arrays and value table, pinned before the slot-"1"
-    fills were cut into column ranges.  Two of its fills (626 k and
-    639 k entries) take the ranges, and land in the same order."""
-    ranged = _spy_column_ranges(monkeypatch)
+    fills were cut into column slices: the entries land in the same
+    order."""
     mat = assemble_matrix(_e7_model())
-    assert sorted(ranged) == [625_532, 638_587]
     assert mat.nnz == 1_492_392
     assert _array_digest(mat) == \
         "e7bb5e22afe16ace5729be482a83b8e00602856f2f7ae882aea3e13b1a5585b2"
@@ -650,35 +639,22 @@ def test_e7_assembly_peak_within_twice_its_output():
 @pytest.mark.parametrize("preset, j", [("D4", 11), ("E6", 43)])
 def test_small_fill_chunks_give_the_same_arrays(monkeypatch, preset, j):
     """Cutting every slot-"1" fill and renumbering slice at 64 entries
-    changes no byte of the assembled arrays or the value table."""
+    changes no byte of the assembled arrays or the value table.  A
+    slot-"1" slice spans at most 64 // j columns (at least one), each a
+    run of at most j entries; the grid rows, the other `_ranges` calls,
+    span j - 1 or more."""
     model = build_model(preset_graph(preset)[0], j, list(DEFAULT_PRIMES))
     whole = assemble_matrix(model)
     monkeypatch.setattr(plumbing, "_FILL_CHUNK", 64)
-    ranged = _spy_column_ranges(monkeypatch)
+    calls, ranges = [], plumbing._ranges
+    monkeypatch.setattr(plumbing, "_ranges", lambda start, size: (
+        calls.append((size.size, int(size.sum()))) or ranges(start, size)))
     cut = assemble_matrix(model)
-    assert ranged and min(ranged) > 64
+    slices = [total for cols, total in calls if cols <= max(1, 64 // j)]
+    assert slices and max(slices) <= 64 < sum(slices)
     for name in ("row", "col", "code"):
         assert np.array_equal(getattr(cut, name), getattr(whole, name))
     assert cut.values.tolist() == whole.values.tolist()
-
-
-@given(st.lists(st.integers(0, 40), min_size=1, max_size=60),
-       st.integers(1, 50))
-def test_column_ranges_cover_the_runs_in_order(runs, chunk):
-    """The ranges are consecutive, cover every column and entry once,
-    and hold fewer than `chunk` entries plus one run each."""
-    runs = np.array(runs)
-    ends = np.cumsum(runs)
-    assume(ends[-1] > chunk)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(plumbing, "_FILL_CHUNK", chunk)
-        ranges = plumbing._column_ranges(ends, (runs, np.arange(runs.size)))
-    assert ranges[0][0] == 0 and ranges[-1][1] == ends[-1]
-    assert np.concatenate([ids for _, _, (_, ids) in ranges]).tolist() == \
-        list(range(runs.size))
-    for (first, stop, (rs, _)), nxt in zip(ranges, ranges[1:] + [None]):
-        assert stop - first == rs.sum() < chunk + runs.max()
-        assert nxt is None or nxt[0] == stop
 
 
 @pytest.mark.e8
