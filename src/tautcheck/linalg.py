@@ -12,8 +12,8 @@ Strategy, the structured Gaussian elimination of Dumas & Villard (CASC
    positions through `SparseIntMatrix.arrays_mod`, which drops the zero
    residues, and peel again, now on any singleton.  A prime whose
    residual is empty costs nothing more;
-3. rank the remaining core by sparse elimination in one column order,
-   sparsest first, fixed up front.
+3. rank the core left by sparse elimination in a fixed column order,
+   sparsest first; a column's append-only row list is filtered at its visit.
 
 The rational rank is bounded by modular ranks: the rank mod any prime
 never exceeds the rank over the rationals, which never exceeds
@@ -240,23 +240,23 @@ def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
     entries (lowest id on ties); a column emptied by cancellation is
     skipped.  A pivot row holds no entry in a column already visited, so
     fill-in only reaches columns still to come.  Rows and columns are
-    keyed by their ids, so the core needs no renumbering."""
+    keyed by their ids, so the core needs no renumbering.  A column's
+    list only grows: it may name rows that left the column, and a row
+    twice; it is filtered against the exact row dicts once, at the visit."""
     rowd: dict[int, dict[int, int]] = {}
-    colr: dict[int, set[int]] = {}
+    colr: dict[int, list[int]] = {}
     for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
         rowd.setdefault(r, {})[c] = v
-        colr.setdefault(c, set()).add(r)
+        colr.setdefault(c, []).append(r)
     rank = 0
     for c0 in sorted(colr, key=lambda c: (len(colr[c]), c)):
-        rs = colr.pop(c0)
+        rs = {r for r in colr.pop(c0) if c0 in rowd.get(r, ())}
         if not rs:
             continue
         r0 = min(rs, key=lambda r: (len(rowd[r]), r))
         rs.remove(r0)
         prow = rowd.pop(r0)
         inv = pow(prow.pop(c0), -1, p)
-        for c2 in prow:
-            colr[c2].discard(r0)
         rank += 1
         for r in rs:
             rd = rowd[r]
@@ -265,11 +265,10 @@ def _sparse_core_rank_mod_p(rows: np.ndarray, cols: np.ndarray,
                 nv = (rd.get(c2, 0) - f * v2) % p
                 if nv:
                     if c2 not in rd:
-                        colr[c2].add(r)
+                        colr[c2].append(r)
                     rd[c2] = nv
                 elif c2 in rd:
                     del rd[c2]
-                    colr[c2].discard(r)
     return rank
 
 

@@ -92,7 +92,7 @@ def test_criterion_02_reference_table_e8_long_running():
     assert r["results"]["q"]["h1"] == 0
     assert r["certificate_prime"] == 7
     # the north star's memory target for the whole run, 1.5 GB; a full
-    # E8 analysis peaks at ~0.96 GB (ru_maxrss is in KiB on Linux)
+    # E8 analysis peaks at ~0.87 GB (ru_maxrss is in KiB on Linux)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     assert peak < 1.5e9, f"peak resident set {peak >> 20} MiB"
 
